@@ -5,9 +5,9 @@ Commands:
 * ``generate`` — synthesise an XMark- or NASA-like document to a file;
 * ``stats`` — print a document's structural statistics;
 * ``index`` — build an M*(k)-index refined for a synthetic workload and
-  save it (optionally also as a paged disk index);
+  save it as one paged segment file;
 * ``query`` — run path expressions against a document (optionally
-  through a saved index), printing answers and costs;
+  through the file ``index`` wrote), printing answers and costs;
 * ``report`` — regenerate the paper's full figure sweep as markdown;
 * ``verify`` — run the differential correctness oracle + fuzz harness
   over every index family (see :mod:`repro.verify`);
@@ -44,12 +44,8 @@ from repro.graph.xml_io import parse_xml_file
 from repro.indexes.mstarindex import MStarIndex
 from repro.queries.pathexpr import PathExpression
 from repro.queries.workload import Workload
-from repro.storage.serialization import (
-    load_graph,
-    load_mstar,
-    save_graph,
-    save_mstar,
-)
+from repro.storage.diskindex import DiskMStarIndex
+from repro.storage.serialization import load_graph, save_graph
 
 
 def _load_document(path: str):
@@ -90,20 +86,17 @@ def cmd_index(args: argparse.Namespace) -> int:
     index = MStarIndex(graph)
     for expr in workload:
         index.refine(expr, index.query(expr))
-    save_mstar(index, args.output)
+    DiskMStarIndex.build(index, args.output).close()
     print(f"refined {index} for {len(workload)} workload queries; "
           f"saved to {args.output}")
-    if args.disk:
-        from repro.storage.diskindex import DiskMStarIndex
-        DiskMStarIndex.build(index, args.disk).close()
-        print(f"paged disk index written to {args.disk}")
     return 0
 
 
 def cmd_query(args: argparse.Namespace) -> int:
     graph = _load_document(args.document)
     if args.index:
-        index = load_mstar(args.index, graph)
+        with DiskMStarIndex(args.index, graph) as disk:
+            index = disk.to_memory()
     else:
         index = MStarIndex(graph)
     for text in args.expressions:
@@ -118,7 +111,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         if args.refine:
             index.refine(expr, result)
     if args.refine and args.index:
-        save_mstar(index, args.index)
+        DiskMStarIndex.build(index, args.index).close()
         print(f"index updated in place: {args.index}")
     return 0
 
@@ -564,7 +557,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         validate_chrome_trace,
         validate_nesting,
     )
-    from repro.storage.diskindex import DiskMStarIndex
 
     if args.document:
         graph = _load_document(args.document)
@@ -589,7 +581,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         # Disk phase: serialise the refined index and replay the workload
         # through the buffer pool, so pager/diskindex spans appear too.
         with tempfile.TemporaryDirectory() as tmp:
-            disk_path = os.path.join(tmp, "trace.rpdi")
+            disk_path = os.path.join(tmp, "trace.seg")
             with DiskMStarIndex.build(engine.index, disk_path,
                                       buffer_pages=8) as disk:
                 for expr in workload:
@@ -681,18 +673,18 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="build a workload-refined M*(k)-index")
     index.add_argument("document")
     index.add_argument("--output", "-o", required=True,
-                       help="output path (.rpms)")
+                       help="output path (one paged v2 segment, .seg)")
     index.add_argument("--queries", type=int, default=200)
     index.add_argument("--max-length", type=int, default=9)
     index.add_argument("--seed", type=int, default=1)
-    index.add_argument("--disk", help="also write a paged disk index (.rpdi)")
     index.set_defaults(handler=cmd_index)
 
     query = commands.add_parser("query", help="run path expressions")
     query.add_argument("document")
     query.add_argument("expressions", nargs="+",
                        help="XPath-style simple paths, e.g. //a/b")
-    query.add_argument("--index", help="saved M*(k)-index (.rpms)")
+    query.add_argument("--index",
+                       help="M*(k)-index written by 'repro index' (.seg)")
     query.add_argument("--refine", action="store_true",
                        help="refine the index for each query (FUP)")
     query.add_argument("--verbose", "-v", action="store_true")

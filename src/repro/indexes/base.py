@@ -71,6 +71,42 @@ class QueryResult:
     validated: bool = False
 
 
+@dataclass
+class _TargetNode:
+    """Materialised view of one on-disk index node (query result detail)."""
+
+    nid: int
+    label: str
+    k: int
+    extent: set[int]
+
+
+def answer_stored_nodes(graph: DataGraph, expr: PathExpression,
+                        stored: Iterable[tuple[int, str, int, Iterable[int]]],
+                        cost: CostCounter) -> QueryResult:
+    """Section 3.1's epilogue for target nodes read back from disk.
+
+    ``stored`` yields ``(nid, label, k, extent members)`` per target
+    node; as in :meth:`IndexGraph.answer`, an extent whose ``k`` meets
+    :func:`required_similarity` is returned verbatim and any other is
+    validated against ``graph``, charging data-node visits to ``cost``.
+    """
+    required = required_similarity(graph, expr)
+    answers: set[int] = set()
+    targets: list[_TargetNode] = []
+    validated = False
+    for nid, label, k, members in stored:
+        node = _TargetNode(nid, label, k, set(members))
+        targets.append(node)
+        if k >= required:
+            answers |= node.extent
+        else:
+            validated = True
+            answers |= validate_extent(graph, expr, node.extent, cost)
+    return QueryResult(answers=answers, target_nodes=targets,  # type: ignore[arg-type]
+                       cost=cost, validated=validated)
+
+
 class IndexGraph:
     """A mutable structural-index graph over a fixed data graph."""
 
@@ -94,16 +130,10 @@ class IndexGraph:
         #: demotions), which can change answers or similarity claims for
         #: labels far from the touched nodes — every cached result dies.
         self.epoch = 0
-        #: Opt-in result cache for :meth:`answer` (see ``docs/tuning.md``).
-        self.cache_enabled = False
-        self.cache_limit = 256
-        self.cache_hits = 0
         #: When set, structural mutations charge their work here (index
         #: visits for nodes written, data visits for extents scanned while
         #: rebuilding edges) — how refinement cost gets metered.
         self.work_sink: CostCounter | None = None
-        self._result_cache: dict[PathExpression,
-                                 tuple[tuple, QueryResult]] = {}
         # expr -> sorted label tuple used by cache_token (the label set
         # of an expression never changes; recomputing it per query
         # showed up in replay profiles).
@@ -443,17 +473,6 @@ class IndexGraph:
         return (self.epoch,) + tuple(
             (label, versions.get(label, 0)) for label in labels)
 
-    def _cache_store(self, expr: PathExpression, token: tuple,
-                     result: QueryResult) -> None:
-        cache = self._result_cache
-        if expr not in cache and len(cache) >= self.cache_limit:
-            cache.pop(next(iter(cache)))  # FIFO eviction
-        # Snapshot answers/targets: callers may mutate the returned sets.
-        cache[expr] = (token, QueryResult(
-            answers=set(result.answers),
-            target_nodes=list(result.target_nodes),
-            cost=result.cost.copy(), validated=result.validated))
-
     # ------------------------------------------------------------------
     # Query evaluation (Section 3.1)
     # ------------------------------------------------------------------
@@ -542,19 +561,6 @@ class IndexGraph:
         outer = tracer.span("index.answer", query=str(expr)) \
             if tracer.enabled else _trace.NULL_SPAN
         with outer:
-            token: tuple | None = None
-            if self.cache_enabled:
-                token = self.cache_token(expr)
-                entry = self._result_cache.get(expr)
-                if entry is not None and entry[0] == token:
-                    self.cache_hits += 1
-                    cost.index_visits += 1  # one probe pays for the lookup
-                    outer.tag(cache="hit")
-                    source = entry[1]
-                    return QueryResult(
-                        answers=set(source.answers),
-                        target_nodes=list(source.target_nodes),
-                        cost=cost, validated=source.validated)
             targets = self.evaluate(expr, cost)
             answers: set[int] = set()
             validated = False
@@ -572,11 +578,8 @@ class IndexGraph:
                     validated = True
                     answers |= validate_extent(self.graph, expr,
                                                node.extent, cost)
-            result = QueryResult(answers=answers, target_nodes=targets,
-                                 cost=cost, validated=validated)
-            if token is not None:
-                self._cache_store(expr, token, result)
-            return result
+            return QueryResult(answers=answers, target_nodes=targets,
+                               cost=cost, validated=validated)
 
     # ------------------------------------------------------------------
     # Invariant checking (used heavily by the test suite)

@@ -16,26 +16,15 @@ from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 
 from repro.core.extents import Extent
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
-from repro.indexes.base import QueryResult
+from repro.indexes.base import QueryResult, answer_stored_nodes
 from repro.obs import trace as _trace
-from repro.queries.evaluator import required_similarity, validate_candidate
 from repro.queries.pathexpr import WILDCARD, PathExpression
 from repro.storage.segment import Segment
-
-
-@dataclass
-class _TargetNode:
-    """Materialised view of one segment-resident index node."""
-
-    nid: int
-    label: str
-    k: int
-    extent: set[int] = field(default_factory=set)
 
 
 class SegmentAkIndex:
@@ -159,33 +148,21 @@ class SegmentAkIndex:
             if not frontier:
                 break
 
-        required = required_similarity(self.graph, expr)
-        answers: set[int] = set()
-        targets: list[_TargetNode] = []
-        validated = False
+        return answer_stored_nodes(self.graph, expr,
+                                   self._stored(sorted(frontier)), cost)
+
+    def _stored(self, ordered: list[int]
+                ) -> Iterator[tuple[int, str, int, tuple[int, ...]]]:
         # Sorted frontier + get_many: extent pages are read in key order,
         # each touched page exactly once (the readv path).
-        ordered = sorted(frontier)
         extents = dict(self.segment.get_many(ordered))
         for nid in ordered:
             payload = extents.get(nid)
             if payload is None:
                 raise ValueError(
                     f"{self.path}: no extent record for index node {nid}")
-            count = len(payload) // 4
-            members = struct.unpack(f"<{count}I", payload)
-            extent = set(members)
-            targets.append(_TargetNode(nid=nid, label=self.label_of(nid),
-                                       k=self.k, extent=extent))
-            if self.k >= required:
-                answers |= extent
-            else:
-                validated = True
-                for oid in members:
-                    if validate_candidate(self.graph, expr, oid, cost):
-                        answers.add(oid)
-        return QueryResult(answers=answers, target_nodes=targets,  # type: ignore[arg-type]
-                           cost=cost, validated=validated)
+            members = struct.unpack(f"<{len(payload) // 4}I", payload)
+            yield nid, self.label_of(nid), self.k, members
 
     # ------------------------------------------------------------------
     # Stats and lifecycle

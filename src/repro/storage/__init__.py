@@ -6,7 +6,7 @@ that can be loaded into memory selectively and incrementally during
 query processing."  This subpackage builds that structure:
 
 * :mod:`repro.storage.serialization` — binary round-tripping of data
-  graphs and M*(k)-indexes;
+  graphs (``.rpgr``);
 * :mod:`repro.storage.pager` — a page file (optionally mmap-backed,
   checksum-verified) plus an LRU buffer pool with pin counts, a
   scan-resistant admission policy, eviction epochs, and read/hit
@@ -21,9 +21,10 @@ query processing."  This subpackage builds that structure:
 * :mod:`repro.storage.prefetch` — trace-driven background prefetch for
   sequential page runs;
 * :mod:`repro.storage.diskindex` — :class:`DiskMStarIndex`, a read-only
-  on-disk M*(k)-index whose top-down query algorithm touches only the
-  pages holding the index nodes it walks, so short queries stay inside
-  the (small, hot) coarse components.
+  M*(k)-index stored as one segment, whose top-down query algorithm
+  touches only the pages holding the index nodes it walks, so short
+  queries stay inside the (small, hot) coarse components; the same file
+  is the only persisted form of an M*(k)-index.
 
 See ``docs/storage.md`` for the format, pager policy, and recovery
 semantics.
@@ -39,12 +40,7 @@ from repro.storage.segment import (
     SegmentFormatError,
     SegmentWriter,
 )
-from repro.storage.serialization import (
-    load_graph,
-    load_mstar,
-    save_graph,
-    save_mstar,
-)
+from repro.storage.serialization import load_graph, save_graph
 from repro.storage.spill import (
     BUDGET_ENV,
     OocBuildReport,
@@ -79,7 +75,5 @@ __all__ = [
     "inram_ak_digest",
     "inram_hierarchy_digest",
     "load_graph",
-    "load_mstar",
     "save_graph",
-    "save_mstar",
 ]

@@ -1,56 +1,68 @@
 """The disk-resident M*(k)-index (Section 6's future work, built).
 
-``DiskMStarIndex.build`` serialises a refined in-memory
-:class:`~repro.indexes.mstarindex.MStarIndex` into a paged file: every
-component's nodes are packed into fixed-budget pages, with a per-
-component label directory and node-to-page locator kept in the (small)
-header.  Queries run the paper's top-down strategy, fetching index
-nodes through an LRU :class:`~repro.storage.pager.BufferPool` — so a
-short query touches only the pages of the coarse components, which is
-exactly the "loaded into memory selectively and incrementally" goal the
-paper states.
+``DiskMStarIndex.build`` streams a refined in-memory
+:class:`~repro.indexes.mstarindex.MStarIndex` into one v2 segment
+(:mod:`repro.storage.segment`, kind ``mstar-nodes``): one record per
+index node under the composite key ``component * stride + dense nid``
+(``stride`` = data-graph size, the rule ``build_hierarchy_segment``
+uses), with the per-component label directory in the footer meta.
+Queries run the paper's top-down strategy, fetching index nodes through
+the segment's :class:`~repro.storage.pager.BufferPool` — so a short
+query touches only the pages of the coarse components, which is exactly
+the "loaded into memory selectively and incrementally" goal the paper
+states — and every page read is CRC-checked.
 
-The structure is read-only: refinement happens in memory and a new file
-is built (the classic build/serve split for secondary indexes).
-Validation uses the in-memory data graph, as in the paper's cost model.
+The same file is the only persisted form of an M*(k)-index: the
+structure is read-only, refinement happens in memory
+(:meth:`DiskMStarIndex.to_memory`) and a new file is built (the classic
+build/serve split for secondary indexes).  Validation uses the
+in-memory data graph, as in the paper's cost model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+from collections.abc import Iterator, Sequence
 
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
-from repro.indexes.base import QueryResult
+from repro.indexes.base import IndexGraph, QueryResult, answer_stored_nodes
 from repro.indexes.mstarindex import MStarIndex
 from repro.obs import trace as _trace
-from repro.queries.evaluator import required_similarity, validate_candidate
 from repro.queries.pathexpr import WILDCARD, PathExpression
-from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool, PageFile, PageRef
-from repro.storage.serialization import (
-    FORMAT_VERSION,
-    encode_index_node,
-    read_label_table,
-    read_string,
-    read_u32,
-    read_u32_list,
-    write_label_table,
-    write_string,
-    write_u32,
-    write_u32_list,
-)
+from repro.storage.pager import DEFAULT_PAGE_SIZE
+from repro.storage.segment import Segment, SegmentWriter
 
-DISK_MAGIC = b"RPDI"
+SEGMENT_KIND = "mstar-nodes"
+_NODE_HEAD = struct.Struct("<IH")
 
 
-@dataclass
-class _TargetNode:
-    """Materialised view of one on-disk index node (query result detail)."""
+def encode_index_node(label_id: int, k: int, extent: Sequence[int],
+                      children: Sequence[int],
+                      subnodes: Sequence[int]) -> bytes:
+    """Encode one index-node record: ``label_id u32, k u16``, then the
+    extent, child and subnode lists, each ``count u32, count × u32``."""
+    parts = [_NODE_HEAD.pack(label_id, k)]
+    for values in (extent, children, subnodes):
+        parts.append(struct.pack(f"<{len(values) + 1}I", len(values), *values))
+    return b"".join(parts)
 
-    nid: int
-    label: str
-    k: int
-    extent: set[int] = field(default_factory=set)
+
+def decode_index_node(data: bytes) -> dict:
+    """Decode one whole record; raises unless ``data`` is exactly one."""
+    label_id, k = _NODE_HEAD.unpack_from(data)
+    words = struct.unpack_from(f"<{(len(data) - _NODE_HEAD.size) // 4}I",
+                               data, _NODE_HEAD.size)
+    fields = []
+    position = 0
+    for _ in range(3):
+        end = position + 1 + words[position]
+        fields.append(words[position + 1:end])
+        position = end
+    if _NODE_HEAD.size + 4 * position != len(data):
+        raise ValueError("index-node record length does not match its lists")
+    return {"label_id": label_id, "k": k, "extent": fields[0],
+            "children": fields[1], "subnodes": fields[2]}
 
 
 class DiskMStarIndex:
@@ -60,33 +72,28 @@ class DiskMStarIndex:
                  buffer_pages: int = 64) -> None:
         self.path = path
         self.graph = graph
-        with open(path, "rb") as source:
-            if source.read(4) != DISK_MAGIC:
-                raise ValueError(f"{path} is not a repro disk-index file")
-            version = read_u32(source)
-            if version != FORMAT_VERSION:
-                raise ValueError(f"unsupported disk format version {version}")
-            self.labels = read_label_table(source)
-            self.num_components = read_u32(source)
-            self.page_size = read_u32(source)
-            # Per-component directories (all small; kept in memory like a
-            # catalog): label -> node ids, node id -> page number.
-            self._by_label: list[dict[str, list[int]]] = []
-            self._page_of: list[list[int]] = []
-            pages: dict[tuple[int, int], PageRef] = {}
-            for component in range(self.num_components):
-                directory: dict[str, list[int]] = {}
-                for _ in range(read_u32(source)):
-                    label = read_string(source)
-                    directory[label] = read_u32_list(source)
-                self._by_label.append(directory)
-                self._page_of.append(read_u32_list(source))
-                for page_number in range(read_u32(source)):
-                    offset = read_u32(source)
-                    length = read_u32(source)
-                    pages[(component, page_number)] = PageRef(offset, length)
-        self._file = PageFile(path, pages)
-        self.pool = BufferPool(self._file, buffer_pages)
+        self._segment = Segment(path, buffer_pages=buffer_pages,
+                                decode_value=decode_index_node)
+        meta = self._segment.meta
+        try:
+            if meta.get("kind") != SEGMENT_KIND:
+                raise ValueError(
+                    f"{path} is a {meta.get('kind')!r} segment, not an "
+                    f"M*(k) index ({SEGMENT_KIND!r})")
+            if meta.get("stride") != graph.num_nodes:
+                raise ValueError(
+                    f"{path} does not match this data graph (built over "
+                    f"{meta.get('stride')} nodes, given {graph.num_nodes})")
+        except ValueError:
+            self._segment.close()
+            raise
+        self._stride: int = meta["stride"]
+        self.labels: list[str] = meta["labels"]
+        # Per-component label -> dense node ids (small; kept in memory
+        # like a catalog).
+        self._by_label: list[dict[str, list[int]]] = meta["components"]
+        self.num_components = len(self._by_label)
+        self.pool = self._segment.pool
 
     # ------------------------------------------------------------------
     # Building
@@ -95,100 +102,86 @@ class DiskMStarIndex:
     def build(cls, index: MStarIndex, path: str,
               page_size: int = DEFAULT_PAGE_SIZE,
               buffer_pages: int = 64) -> "DiskMStarIndex":
-        """Serialise ``index`` into a paged file at ``path`` and open it."""
-        if page_size < 64:
-            raise ValueError("page_size must be >= 64 bytes")
+        """Serialise ``index`` into a segment at ``path`` and open it."""
         graph = index.graph
-        # The label table is written sorted, so its ids are known upfront.
-        label_ids = {label: position
-                     for position, label in enumerate(sorted(graph.alphabet()))}
+        labels = sorted(graph.alphabet())
+        label_ids = {label: position for position, label in enumerate(labels)}
+        stride = graph.num_nodes
+        # Node ids are sparse after refinement; renumber densely per
+        # component (to_memory recreates them in this order).
         mappings = [{nid: dense
                      for dense, nid in enumerate(sorted(component.nodes))}
                     for component in index.components]
-
-        # Encode records and pack them into pages, component by component.
-        component_pages: list[list[bytes]] = []
-        page_of: list[list[int]] = []
-        by_label: list[dict[str, list[int]]] = []
-        for i, component in enumerate(index.components):
-            mapping = mappings[i]
-            is_last = i == index.max_resolution
-            pages: list[bytes] = []
-            current: list[bytes] = []
-            current_size = 0
-            locator = [0] * len(component.nodes)
-            directory: dict[str, list[int]] = {}
-            for nid in sorted(component.nodes):
-                node = component.nodes[nid]
-                dense = mapping[nid]
-                children = sorted(mapping[child]
-                                  for child in component.children_of(nid))
-                subnodes = (sorted(mappings[i + 1][sub]
-                                   for sub in index.subnodes[i][nid])
-                            if not is_last else [])
-                record = encode_index_node(dense, label_ids[node.label],
-                                           node.k, list(node.extent),
-                                           children, subnodes)
-                directory.setdefault(node.label, []).append(dense)
-                if current and current_size + len(record) > page_size:
-                    pages.append(b"".join(current))
-                    current = []
-                    current_size = 0
-                locator[dense] = len(pages)
-                current.append(record)
-                current_size += len(record)
-            if current:
-                pages.append(b"".join(current))
-            component_pages.append(pages)
-            page_of.append(locator)
-            by_label.append(directory)
-
-        with open(path, "wb") as out:
-            out.write(DISK_MAGIC)
-            write_u32(out, FORMAT_VERSION)
-            write_label_table(out, graph.labels)
-            write_u32(out, len(index.components))
-            write_u32(out, page_size)
-
-            # Directories + placeholder page tables first, then the pages,
-            # then patch the page tables with the final offsets.
-            page_table_positions = []
-            for i in range(len(index.components)):
-                directory = by_label[i]
-                write_u32(out, len(directory))
-                for label in sorted(directory):
-                    write_string(out, label)
-                    write_u32_list(out, directory[label])
-                write_u32_list(out, page_of[i])
-                write_u32(out, len(component_pages[i]))
-                page_table_positions.append(out.tell())
-                out.write(b"\0" * (8 * len(component_pages[i])))
-
-            page_refs: list[list[tuple[int, int]]] = []
-            for pages in component_pages:
-                refs = []
-                for page in pages:
-                    refs.append((out.tell(), len(page)))
-                    out.write(page)
-                page_refs.append(refs)
-
-            for position, refs in zip(page_table_positions, page_refs):
-                out.seek(position)
-                for offset, length in refs:
-                    write_u32(out, offset)
-                    write_u32(out, length)
-
+        meta = {"kind": SEGMENT_KIND, "stride": stride, "labels": labels}
+        with SegmentWriter(path, page_size=page_size, meta=meta) as writer:
+            # The footer (meta included) is serialised by finish(), so the
+            # label directories can fill in while the records stream out.
+            directories: list[dict[str, list[int]]] = []
+            writer.meta["components"] = directories
+            for i, component in enumerate(index.components):
+                mapping = mappings[i]
+                is_last = i == index.max_resolution
+                directory: dict[str, list[int]] = {}
+                directories.append(directory)
+                for nid, dense in mapping.items():
+                    node = component.nodes[nid]
+                    children = sorted(mapping[child]
+                                      for child in component.children_of(nid))
+                    subnodes = (sorted(mappings[i + 1][sub]
+                                       for sub in index.subnodes[i][nid])
+                                if not is_last else [])
+                    directory.setdefault(node.label, []).append(dense)
+                    writer.add(i * stride + dense, encode_index_node(
+                        label_ids[node.label], node.k, node.extent,
+                        children, subnodes))
         return cls(path, graph, buffer_pages=buffer_pages)
 
     # ------------------------------------------------------------------
     # Record access through the pool
     # ------------------------------------------------------------------
     def _record(self, component: int, nid: int) -> dict:
-        page_number = self._page_of[component][nid]
-        return self.pool.page((component, page_number))[nid]
+        record: dict = self._segment.get(component * self._stride + nid)
+        return record
 
     def nodes_with_label(self, component: int, label: str) -> list[int]:
         return self._by_label[component].get(label, [])
+
+    def to_memory(self) -> MStarIndex:
+        """Load the whole index into RAM (to refine it and build anew).
+
+        Streams :meth:`Segment.iter_all`, so only the pool's pages are
+        resident beside the index being rebuilt.  Raises ``ValueError``
+        when the records do not describe an index over ``self.graph``.
+        """
+        graph = self.graph
+        components = [IndexGraph(graph) for _ in range(self.num_components)]
+        subnodes: list[dict[int, set[int]]] = [
+            {} for _ in range(self.num_components)]
+        for key, record in self._segment.iter_all():
+            number, dense = divmod(key, self._stride)
+            label = self.labels[record["label_id"]]
+            if any(graph.labels[oid] != label for oid in record["extent"]):
+                raise ValueError(
+                    f"{self.path} does not match this data graph")
+            # _add_node numbers sequentially and build() wrote each
+            # component in dense order, so the ids must line up.
+            if components[number]._add_node(record["extent"], record["k"],
+                                            label=label) != dense:
+                raise ValueError(f"non-dense node ids in {self.path}")
+            subnodes[number][dense] = set(record["subnodes"])
+        index = MStarIndex.__new__(MStarIndex)
+        index.graph = graph
+        index.components = components
+        index.subnodes = subnodes[:-1]
+        index.supernode = [{}]
+        index._optimizer = None
+        for component in components:
+            component._assert_covering()
+            component._rebuild_edges()
+        for links in index.subnodes:
+            index.supernode.append({sub: nid for nid, subs in links.items()
+                                    for sub in subs})
+        return index
 
     # ------------------------------------------------------------------
     # Querying (top-down, the paper's strategy)
@@ -272,33 +265,22 @@ class DiskMStarIndex:
             frontier = stepped
             if not frontier:
                 break
+        return answer_stored_nodes(
+            self.graph, expr, self._stored(current, sorted(frontier)), cost)
 
-        required = required_similarity(self.graph, expr)
-        answers: set[int] = set()
-        targets: list[_TargetNode] = []
-        validated = False
-        for nid in sorted(frontier):
-            record = self._record(current, nid)
-            extent = set(record["extent"])
-            targets.append(_TargetNode(nid=nid,
-                                       label=self.labels[record["label_id"]],
-                                       k=record["k"], extent=extent))
-            if record["k"] >= required:
-                answers |= extent
-            else:
-                validated = True
-                for oid in extent:
-                    if validate_candidate(self.graph, expr, oid, cost):
-                        answers.add(oid)
-        return QueryResult(answers=answers, target_nodes=targets,  # type: ignore[arg-type]
-                           cost=cost, validated=validated)
+    def _stored(self, component: int, ordered: list[int]
+                ) -> Iterator[tuple[int, str, int, tuple[int, ...]]]:
+        for nid in ordered:
+            record = self._record(component, nid)
+            yield (nid, self.labels[record["label_id"]], record["k"],
+                   record["extent"])
 
     # ------------------------------------------------------------------
     # Stats and lifecycle
     # ------------------------------------------------------------------
     @property
     def page_count(self) -> int:
-        return len(self._file.pages)
+        return self._segment.num_pages
 
     def io_stats(self) -> tuple[int, int]:
         """(physical page reads, pool hits) since the last reset."""
@@ -308,7 +290,7 @@ class DiskMStarIndex:
         self.pool.reset_stats()
 
     def close(self) -> None:
-        self._file.close()
+        self._segment.close()
 
     def __enter__(self) -> "DiskMStarIndex":
         return self

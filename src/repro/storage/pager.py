@@ -1,18 +1,17 @@
 """Page file and buffer pool for the disk-resident index.
 
-``PageFile`` lays index-node records out in fixed-budget pages and reads
-a page's records back on demand; ``BufferPool`` keeps a bounded LRU set
-of parsed pages and counts physical reads versus hits — the I/O metric
-the disk-resident benches report.
+``PageFile`` reads one page of a segment file back on demand and hands
+its bytes to the caller's decoder; ``BufferPool`` keeps a bounded LRU
+set of parsed pages and counts physical reads versus hits — the I/O
+metric the disk-resident benches report.
 
 PR 9 extensions (the out-of-core data plane, see ``docs/storage.md``):
 
 * **mmap-backed reads** — a ``PageFile`` opened with ``use_mmap=True``
   slices a read-only memory map instead of seek+read, so concurrent
   readers need no shared-file-position lock on the data path (the
-  counters stay lock-protected).  Segments opened fresh default to it;
-  the legacy index path keeps buffered reads unless
-  ``REPRO_STORAGE_MMAP=1`` asks otherwise.
+  counters stay lock-protected).  Handles ``mmap`` refuses (empty file,
+  pipe, fault-injection wrapper) fall back to buffered reads.
 * **page checksums** — when the caller supplies per-page CRCs (the
   segment format stores them in its footer), every physical read is
   verified before decoding; a mismatch raises a ``ValueError`` naming
@@ -36,7 +35,6 @@ PR 9 extensions (the out-of-core data plane, see ``docs/storage.md``):
 from __future__ import annotations
 
 import mmap
-import os
 import struct
 import threading
 import zlib
@@ -48,7 +46,6 @@ from typing import Any
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.storage.serialization import decode_index_node
 
 DEFAULT_PAGE_SIZE = 4096
 
@@ -69,20 +66,6 @@ _M_PREFETCH_HITS = _metrics.REGISTRY.counter(
     "demand requests served by a previously prefetched page")
 
 
-def _mmap_default() -> bool:
-    return os.environ.get("REPRO_STORAGE_MMAP", "") not in ("", "0")
-
-
-def decode_index_page(data: bytes) -> dict[int, dict]:
-    """Default page decoder: whole index-node records -> nid -> record."""
-    records: dict[int, dict] = {}
-    offset = 0
-    while offset < len(data):
-        record, offset = decode_index_node(data, offset)
-        records[record["nid"]] = record
-    return records
-
-
 @dataclass(frozen=True)
 class PageRef:
     """Location of one page inside the index file."""
@@ -94,28 +77,24 @@ class PageRef:
 class PageFile:
     """Random-access page reader over an on-disk index payload.
 
-    ``pages`` maps a page key (``(component, page_number)`` for the
-    legacy disk index, ``(0, page_number)`` for segments) to a
+    ``pages`` maps a page key (``(0, page_number)`` for segments) to a
     :class:`PageRef`.  ``decoder`` turns raw page bytes into the parsed
-    form the pool caches (default: whole index-node records parsed into
-    ``nid -> record`` dicts); ``checksums`` maps page keys to expected
+    form the pool caches; ``checksums`` maps page keys to expected
     CRC-32s, verified before decoding.  ``handle`` lets tests inject a
     fault-wrapped file object.
     """
 
     def __init__(self, path: str, pages: dict[tuple[int, int], PageRef],
-                 *, decoder: "Callable[[bytes], Any] | None" = None,
+                 *, decoder: "Callable[[bytes], Any]",
                  checksums: "dict[tuple[int, int], int] | None" = None,
-                 use_mmap: bool | None = None,
+                 use_mmap: bool = True,
                  handle: Any = None) -> None:
         self.path = path
         self.pages = pages
-        self._decoder = decoder if decoder is not None else decode_index_page
+        self._decoder = decoder
         self._checksums = checksums if checksums is not None else {}
         self._handle = handle if handle is not None else open(path, "rb")
         self._mmap: mmap.mmap | None = None
-        if use_mmap is None:
-            use_mmap = _mmap_default()
         if use_mmap:
             try:
                 self._mmap = mmap.mmap(self._handle.fileno(), 0,

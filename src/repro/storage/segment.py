@@ -38,6 +38,7 @@ guessing at a partial footer.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from bisect import bisect_right
@@ -68,9 +69,17 @@ class SegmentCorruption(SegmentError):
     """Stored bytes failed a checksum or structural check."""
 
 
-def decode_segment_page(data: bytes) -> list[tuple[int, bytes]]:
-    """Parse one page into ``[(key, value), ...]`` (ascending keys)."""
-    records: list[tuple[int, bytes]] = []
+def decode_segment_page(
+        data: bytes,
+        decode_value: "Callable[[bytes], Any] | None" = None,
+) -> dict[int, Any]:
+    """Parse one page into ``{key: value}`` (insertion = ascending keys).
+
+    ``decode_value`` parses each record's value bytes once, at page
+    load, so the pool caches parsed records; it must raise
+    ``ValueError``/``struct.error`` on bytes it cannot parse whole.
+    """
+    records: dict[int, Any] = {}
     offset = 0
     end = len(data)
     while offset < end:
@@ -80,7 +89,8 @@ def decode_segment_page(data: bytes) -> list[tuple[int, bytes]]:
             raise ValueError(
                 f"record for key {key} overruns the page "
                 f"({offset + length} > {end})")
-        records.append((key, data[offset:offset + length]))
+        value = data[offset:offset + length]
+        records[key] = value if decode_value is None else decode_value(value)
         offset += length
     return records
 
@@ -169,6 +179,11 @@ class SegmentWriter:
         self._out.write(_U32.pack(zlib.crc32(bytes(footer))))
         self._out.write(SEGMENT_TAIL)
         self._out.flush()
+        # Trailer-last recovery is only sound once the bytes are durable;
+        # injected fault-test handles may have no descriptor to sync.
+        fileno = getattr(self._out, "fileno", None)
+        if fileno is not None:
+            os.fsync(fileno())
         self._finished = True
         size = footer_offset + len(footer) + _TRAILER_SIZE
         self._out.close()
@@ -196,12 +211,16 @@ class Segment:
     The page directory (first/last key + offset + CRC per page) lives in
     memory; page payloads are fetched on demand through an LRU
     :class:`~repro.storage.pager.BufferPool` with checksum verification
-    on every physical read.
+    on every physical read.  ``decode_value`` (see
+    :func:`decode_segment_page`) lets an index family cache parsed
+    records instead of value bytes.
     """
 
     def __init__(self, path: str, *, buffer_pages: int = 16,
                  use_mmap: bool = True, admission: str = "lru",
-                 opener: "Callable[..., IO[bytes]]" = open) -> None:
+                 opener: "Callable[..., IO[bytes]]" = open,
+                 decode_value: "Callable[[bytes], Any] | None" = None,
+                 ) -> None:
         self.path = path
         handle = opener(path, "rb")
         try:
@@ -215,9 +234,10 @@ class Segment:
                 enumerate(self._directory):
             pages[(0, number)] = PageRef(offset, length)
             checksums[(0, number)] = crc
-        self._file = PageFile(path, pages, decoder=decode_segment_page,
-                              checksums=checksums, use_mmap=use_mmap,
-                              handle=handle)
+        self._file = PageFile(
+            path, pages,
+            decoder=lambda data: decode_segment_page(data, decode_value),
+            checksums=checksums, use_mmap=use_mmap, handle=handle)
         self.pool = BufferPool(self._file, max(1, buffer_pages),
                                admission=admission)
         self._first_keys = [entry[0] for entry in self._directory]
@@ -231,9 +251,12 @@ class Segment:
         handle.seek(0)
         magic = handle.read(4)
         if magic != SEGMENT_MAGIC:
+            hint = ("; it is a v1 index file (the RPMS/RPDI layouts are no "
+                    "longer read) — rebuild it with 'repro index'"
+                    if magic in (b"RPMS", b"RPDI") else "")
             raise SegmentFormatError(
                 f"{path} is not a repro segment file "
-                f"(magic {magic!r}, expected {SEGMENT_MAGIC!r})")
+                f"(magic {magic!r}, expected {SEGMENT_MAGIC!r}){hint}")
         version_bytes = handle.read(4)
         if len(version_bytes) != 4:
             raise SegmentFormatError(f"{path}: truncated segment header")
@@ -306,42 +329,35 @@ class Segment:
             return None
         return position
 
-    def get(self, key: int) -> bytes | None:
+    def get(self, key: int) -> Any:
         """Point lookup: bisect the directory, read exactly one page."""
         number = self.page_of(key)
         if number is None:
             return None
-        records = self.pool.page((0, number))
-        position = bisect_right(records, key,
-                                key=lambda record: record[0]) - 1
-        if position >= 0 and records[position][0] == key:
-            return records[position][1]
-        return None
+        return self.pool.page((0, number)).get(key)
 
-    def get_many(self, keys: Iterable[int]) -> Iterator[tuple[int, bytes]]:
+    def get_many(self, keys: Iterable[int]) -> Iterator[tuple[int, Any]]:
         """Sorted multi-get: reads each touched page once (readv-style).
 
         ``keys`` must be sorted ascending; absent keys are skipped.
         """
         current_page = -1
-        records: list[tuple[int, bytes]] = []
-        index: dict[int, bytes] = {}
+        records: dict[int, Any] = {}
         for key in keys:
             number = self.page_of(key)
             if number is None:
                 continue
             if number != current_page:
                 records = self.pool.page((0, number))
-                index = dict(records)
                 current_page = number
-            value = index.get(key)
+            value = records.get(key)
             if value is not None:
                 yield key, value
 
-    def iter_all(self) -> Iterator[tuple[int, bytes]]:
+    def iter_all(self) -> Iterator[tuple[int, Any]]:
         """Every record in key order, one page resident at a time."""
         for number in range(len(self._directory)):
-            yield from self.pool.page((0, number))
+            yield from self.pool.page((0, number)).items()
 
     def keys_in_page(self, number: int) -> tuple[int, int]:
         """(first_key, last_key) of page ``number`` (directory only)."""

@@ -1,30 +1,23 @@
-"""Binary serialisation of data graphs and M*(k)-indexes.
+"""Binary serialisation of data graphs (the ``.rpgr`` file).
 
 A small, dependency-free binary format (struct-packed, little-endian)
 with length-prefixed UTF-8 label tables.  ``save_graph``/``load_graph``
-round-trip :class:`~repro.graph.datagraph.DataGraph`;
-``save_mstar``/``load_mstar`` round-trip a refined
-:class:`~repro.indexes.mstarindex.MStarIndex` against a given graph.
-The disk-resident index (:mod:`repro.storage.diskindex`) shares the
-low-level record encoders defined here.
+round-trip :class:`~repro.graph.datagraph.DataGraph`.  Indexes are
+persisted as v2 segments by :mod:`repro.storage.diskindex`.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from collections.abc import Iterable
 from io import BufferedReader, BufferedWriter
 
 from repro.graph.datagraph import DataGraph, EdgeKind
-from repro.indexes.mstarindex import MStarIndex
 
 GRAPH_MAGIC = b"RPGR"
-MSTAR_MAGIC = b"RPMS"
 FORMAT_VERSION = 1
 
 _U32 = struct.Struct("<I")
-_U16 = struct.Struct("<H")
 
 
 def write_u32(out: BufferedWriter, value: int) -> None:
@@ -89,9 +82,7 @@ def save_graph(graph: DataGraph, path: str) -> None:
         out.write(GRAPH_MAGIC)
         write_u32(out, FORMAT_VERSION)
         label_ids = write_label_table(out, graph.labels)
-        write_u32(out, graph.num_nodes)
-        out.write(struct.pack(f"<{graph.num_nodes}I",
-                              *(label_ids[label] for label in graph.labels)))
+        write_u32_list(out, (label_ids[label] for label in graph.labels))
         write_u32(out, graph.root)
         regular = []
         references = []
@@ -115,8 +106,7 @@ def load_graph(path: str) -> DataGraph:
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported graph format version {version}")
         table = read_label_table(source)
-        num_nodes = read_u32(source)
-        label_ids = struct.unpack(f"<{num_nodes}I", source.read(4 * num_nodes))
+        label_ids = read_u32_list(source)
         root = read_u32(source)
         graph = DataGraph()
         for label_id in label_ids:
@@ -128,138 +118,3 @@ def load_graph(path: str) -> DataGraph:
                 graph.add_edge(flat[2 * index], flat[2 * index + 1], kind=kind)
         graph.root = root
         return graph
-
-
-# ----------------------------------------------------------------------
-# Index-node records (shared with the disk-resident index)
-# ----------------------------------------------------------------------
-def encode_index_node(nid: int, label_id: int, k: int, extent: list[int],
-                      children: list[int], subnodes: list[int]) -> bytes:
-    """Encode one index-node record."""
-    parts = [_U32.pack(nid), _U32.pack(label_id), _U16.pack(k)]
-    for values in (extent, children, subnodes):
-        parts.append(_U32.pack(len(values)))
-        parts.append(struct.pack(f"<{len(values)}I", *values))
-    return b"".join(parts)
-
-
-def decode_index_node(data: bytes, offset: int) -> tuple[dict, int]:
-    """Decode one record at ``offset``; return (record, next offset)."""
-    nid, label_id = struct.unpack_from("<II", data, offset)
-    offset += 8
-    (k,) = struct.unpack_from("<H", data, offset)
-    offset += 2
-    fields = []
-    for _ in range(3):
-        (count,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        fields.append(list(struct.unpack_from(f"<{count}I", data, offset)))
-        offset += 4 * count
-    record = {"nid": nid, "label_id": label_id, "k": k,
-              "extent": fields[0], "children": fields[1],
-              "subnodes": fields[2]}
-    return record, offset
-
-
-# ----------------------------------------------------------------------
-# Whole M*(k)-indexes (exact in-memory round trip)
-# ----------------------------------------------------------------------
-def save_mstar(index: MStarIndex, path: str) -> None:
-    """Write a (refined) M*(k)-index to ``path``.
-
-    The data graph itself is not stored; :func:`load_mstar` re-attaches
-    the index to the graph it was built over.
-    """
-    with open(path, "wb") as out:
-        out.write(MSTAR_MAGIC)
-        write_u32(out, FORMAT_VERSION)
-        label_ids = write_label_table(out, index.graph.labels)
-        write_u32(out, len(index.components))
-        # Node ids are sparse after refinement; renumber densely per
-        # component (the loader recreates them in this order).
-        mappings = [{nid: dense for dense, nid in enumerate(sorted(component.nodes))}
-                    for component in index.components]
-        for i, component in enumerate(index.components):
-            write_u32(out, len(component.nodes))
-            is_last = i == index.max_resolution
-            mapping = mappings[i]
-            for nid in sorted(component.nodes):
-                node = component.nodes[nid]
-                children = sorted(mapping[child]
-                                  for child in component.children_of(nid))
-                subnodes = (sorted(mappings[i + 1][sub]
-                                   for sub in index.subnodes[i][nid])
-                            if not is_last else [])
-                out.write(encode_index_node(
-                    mapping[nid], label_ids[node.label], node.k,
-                    list(node.extent), children, subnodes))
-
-
-def load_mstar(path: str, graph: DataGraph) -> MStarIndex:
-    """Read an M*(k)-index written by :func:`save_mstar`.
-
-    ``graph`` must be the data graph the index was built over (checked
-    via extent coverage and label consistency).
-    """
-    with open(path, "rb") as source:
-        if source.read(4) != MSTAR_MAGIC:
-            raise ValueError(f"{path} is not a repro M*(k) file")
-        version = read_u32(source)
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported index format version {version}")
-        table = read_label_table(source)
-        num_components = read_u32(source)
-        # Explicit-length read (storage-io discipline): the payload runs
-        # to end-of-file, so size it from fstat instead of slurping an
-        # unbounded read() — a truncated file fails here, loudly.
-        remaining = os.fstat(source.fileno()).st_size - source.tell()
-        payload = source.read(remaining)
-        if len(payload) != remaining:
-            raise ValueError(f"truncated index payload in {path}")
-
-    index = MStarIndex.__new__(MStarIndex)
-    index.graph = graph
-    index.components = []
-    index.supernode = []
-    index.subnodes = []
-    index._optimizer = None
-
-    from repro.indexes.base import IndexGraph
-
-    offset = 0
-    all_subnodes: list[dict[int, list[int]]] = []
-    position = 0
-    # num-node prefixes are interleaved in the payload stream.
-    data = payload
-    for i in range(num_components):
-        (num_nodes,) = struct.unpack_from("<I", data, position)
-        position += 4
-        component = IndexGraph(graph)
-        subnode_map: dict[int, list[int]] = {}
-        for _ in range(num_nodes):
-            record, position = decode_index_node(data, position)
-            label = table[record["label_id"]]
-            if any(graph.labels[oid] != label for oid in record["extent"]):
-                raise ValueError("index file does not match this data graph")
-            created = component._add_node(record["extent"], record["k"])
-            if created != record["nid"]:
-                # _add_node numbers sequentially; remap is not supported,
-                # but save_mstar writes nodes in ascending nid order after
-                # renumbering, so ids are dense here.
-                raise ValueError("non-dense node ids in index file")
-            subnode_map[record["nid"]] = record["subnodes"]
-        component._assert_covering()
-        component._rebuild_edges()
-        index.components.append(component)
-        all_subnodes.append(subnode_map)
-
-    index.supernode.append({})
-    for i in range(num_components - 1):
-        index.subnodes.append({nid: set(subs)
-                               for nid, subs in all_subnodes[i].items()})
-        supernode_map: dict[int, int] = {}
-        for nid, subs in all_subnodes[i].items():
-            for sub in subs:
-                supernode_map[sub] = nid
-        index.supernode.append(supernode_map)
-    return index

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cli import main
-from repro.storage.serialization import load_graph, load_mstar
+from repro.storage.diskindex import DiskMStarIndex
+from repro.storage.serialization import load_graph
 
 
 @pytest.fixture
@@ -51,21 +52,23 @@ class TestStats:
 
 class TestIndexAndQuery:
     def test_index_roundtrip(self, document, tmp_path, capsys):
-        index_path = str(tmp_path / "i.rpms")
+        index_path = str(tmp_path / "i.seg")
         assert main(["index", document, "-o", index_path,
                      "--queries", "30"]) == 0
-        graph = load_graph(document)
-        index = load_mstar(index_path, graph)
-        index.check_invariants()
+        with DiskMStarIndex(index_path, load_graph(document)) as disk:
+            disk.to_memory().check_invariants()
 
     def test_index_with_disk_output(self, document, tmp_path, capsys):
-        index_path = str(tmp_path / "i.rpms")
-        disk_path = str(tmp_path / "i.rpdi")
-        assert main(["index", document, "-o", index_path, "--queries", "20",
-                     "--disk", disk_path]) == 0
-        from repro.storage.diskindex import DiskMStarIndex
-        with DiskMStarIndex(disk_path, load_graph(document)) as disk:
+        """The one file ``index -o`` writes is the paged disk index
+        (there is no separate ``--disk`` output)."""
+        index_path = str(tmp_path / "i.seg")
+        assert main(["index", document, "-o", index_path,
+                     "--queries", "20"]) == 0
+        with DiskMStarIndex(index_path, load_graph(document)) as disk:
             assert disk.num_components >= 1
+            assert disk.page_count >= 1
+        with pytest.raises(SystemExit):
+            main(["index", document, "-o", index_path, "--disk", "x"])
 
     def test_query_without_index(self, document, capsys):
         assert main(["query", document, "//person", "-v"]) == 0
@@ -74,17 +77,17 @@ class TestIndexAndQuery:
         assert "oids" in out
 
     def test_query_with_index_and_refine(self, document, tmp_path, capsys):
-        index_path = str(tmp_path / "i.rpms")
+        index_path = str(tmp_path / "i.seg")
         main(["index", document, "-o", index_path, "--queries", "10"])
         assert main(["query", document, "--index", index_path, "--refine",
                      "//people/person"]) == 0
         out = capsys.readouterr().out
         assert "updated in place" in out
         # The refreshed index now answers the query precisely.
-        graph = load_graph(document)
-        index = load_mstar(index_path, graph)
         from repro.queries.pathexpr import PathExpression
-        assert not index.query(PathExpression.parse("//people/person")).validated
+        with DiskMStarIndex(index_path, load_graph(document)) as disk:
+            assert not disk.query(
+                PathExpression.parse("//people/person")).validated
 
 
 class TestReport:

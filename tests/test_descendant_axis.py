@@ -187,7 +187,7 @@ class TestIndexAssisted:
         index = MStarIndex(small_xmark)
         for expr in workload:
             index.refine(expr, index.query(expr))
-        path = str(tmp_path / "i.rpdi")
+        path = str(tmp_path / "i.seg")
         with DiskMStarIndex.build(index, path) as disk:
             for text in ("//site//person", "//people//name",
                          "/site//seller", "//open_auction//date"):

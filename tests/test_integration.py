@@ -95,7 +95,7 @@ class TestFullAdaptiveSession:
 
 class TestDiskPipeline:
     def test_memory_disk_parity_via_cli_formats(self, small_xmark, tmp_path):
-        from repro.storage import DiskMStarIndex, load_mstar, save_mstar
+        from repro.storage import DiskMStarIndex
 
         workload = Workload.generate(small_xmark, num_queries=40,
                                      max_length=6, seed=83)
@@ -103,12 +103,9 @@ class TestDiskPipeline:
         for expr in workload:
             index.refine(expr, index.query(expr))
 
-        memory_path = str(tmp_path / "i.rpms")
-        save_mstar(index, memory_path)
-        reloaded = load_mstar(memory_path, small_xmark)
-
-        disk_path = str(tmp_path / "i.rpdi")
+        disk_path = str(tmp_path / "i.seg")
         with DiskMStarIndex.build(index, disk_path) as disk:
+            reloaded = disk.to_memory()
             for expr in workload:
                 truth = evaluate_on_data_graph(small_xmark, expr)
                 assert index.query(expr).answers == truth

@@ -124,15 +124,20 @@ class TestEngineCacheInvalidation:
         assert result.answers == evaluate_on_data_graph(fig1, expr)
 
     def test_index_level_answer_cache_invalidates(self, fig1):
-        mk = MkIndex(fig1)
-        mk.index.cache_enabled = True
+        """The single-graph M(k) family: maintenance must move the
+        index-level token the engine cache keys on."""
+        engine = AdaptiveIndexEngine(fig1, index_factory=MkIndex,
+                                     cache=True)
         expr = PathExpression.parse("//people/person")
-        mk.query(expr)
-        mk.query(expr)
-        assert mk.index.cache_hits == 1
-        new = insert_subtree(fig1, 3, ("person", []), indexes=[mk])
-        result = mk.query(expr)
-        assert mk.index.cache_hits == 1
+        for _ in range(4):
+            engine.execute(expr)
+        hits = engine.stats.cache_hits
+        assert hits >= 1
+        token = engine.index.index.cache_token(expr)
+        new = insert_subtree(fig1, 3, ("person", []), indexes=[engine.index])
+        assert engine.index.index.cache_token(expr) != token
+        result = engine.execute(expr)
+        assert engine.stats.cache_hits == hits  # stale entry did not serve
         assert new[0] in result.answers
 
     def test_every_component_epoch_bumps(self, fig1):

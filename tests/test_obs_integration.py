@@ -109,7 +109,7 @@ class TestDiskSpans:
         expr = PathExpression.parse("//site/people/person")
         index.refine(expr, index.query(expr))
         tracer.clear()
-        path = str(tmp_path / "index.rpdi")
+        path = str(tmp_path / "index.seg")
         with DiskMStarIndex.build(index, path, buffer_pages=4) as disk:
             disk.query(expr)
         records = tracer.spans()
@@ -127,7 +127,7 @@ class TestDiskSpans:
         index = MStarIndex(fig1)
         expr = PathExpression.parse("//people/person")
         before = REGISTRY.snapshot()
-        path = str(tmp_path / "index.rpdi")
+        path = str(tmp_path / "index.seg")
         with DiskMStarIndex.build(index, path, buffer_pages=4) as disk:
             disk.query(expr)
             disk.query(expr)

@@ -80,11 +80,10 @@ class TestAutoStrategy:
         assert totals["auto"] <= best_single * 1.2
 
     def test_auto_survives_serialisation(self, small_xmark, tmp_path):
-        from repro.storage.serialization import load_mstar, save_mstar
+        from repro.storage.diskindex import DiskMStarIndex
         index, workload = refined(small_xmark, num_queries=20)
-        path = str(tmp_path / "i.rpms")
-        save_mstar(index, path)
-        loaded = load_mstar(path, small_xmark)
+        with DiskMStarIndex.build(index, str(tmp_path / "i.seg")) as disk:
+            loaded = disk.to_memory()
         expr = list(workload)[0]
         assert loaded.query(expr, strategy="auto").answers == \
             index.query(expr).answers

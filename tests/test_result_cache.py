@@ -1,4 +1,5 @@
-"""Tests for the refinement-aware result caches (engine + IndexGraph)."""
+"""Tests for the engine's refinement-aware result cache and the
+``IndexGraph.cache_token`` validity tokens it keys on."""
 
 import pytest
 
@@ -111,26 +112,9 @@ class TestEngineCache:
 
 
 class TestIndexGraphCache:
-    def _cached_index(self, graph, k=2):
-        index = AkIndex(graph, k)
-        index.index.cache_enabled = True
-        return index
-
-    def test_hit_returns_equal_result(self, fig1):
-        index = self._cached_index(fig1)
-        expr = PathExpression.parse("//people/person")
-        first = index.query(expr)
-        second = index.query(expr)
-        assert index.index.cache_hits == 1
-        assert second.answers == first.answers
-        assert second.validated == first.validated
-        assert second.cost.total == 1
-
     def test_split_of_mentioned_label_invalidates(self, fig1):
-        index = self._cached_index(fig1, k=0)
-        graph = index.index
+        graph = AkIndex(fig1, 0).index
         expr = PathExpression.parse("//people/person")
-        index.query(expr)
         token_before = graph.cache_token(expr)
         person_nid = next(iter(graph.nodes_with_label("person")))
         node = graph.nodes[person_nid]
@@ -138,8 +122,7 @@ class TestIndexGraphCache:
         assert graph.cache_token(expr) != token_before
 
     def test_split_of_unmentioned_label_preserves_token(self, fig1):
-        index = self._cached_index(fig1, k=0)
-        graph = index.index
+        graph = AkIndex(fig1, 0).index
         expr = PathExpression.parse("//people/person")
         token_before = graph.cache_token(expr)
         item_nid = next(iter(graph.nodes_with_label("item")))
@@ -177,10 +160,3 @@ class TestIndexGraphCache:
         graph.register_data_edge(3, oid)
         assert graph.epoch > epoch_before
         assert graph.cache_token(expr) != token_before
-
-    def test_disabled_by_default(self, fig1):
-        index = AkIndex(fig1, 2)
-        expr = PathExpression.parse("//people/person")
-        index.query(expr)
-        index.query(expr)
-        assert index.index.cache_hits == 0

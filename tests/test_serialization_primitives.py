@@ -1,12 +1,13 @@
 """Unit tests for the low-level serialisation primitives."""
 
 import io
+import struct
 
 import pytest
 
+from repro.storage.diskindex import decode_index_node, encode_index_node
+from repro.storage.segment import decode_segment_page
 from repro.storage.serialization import (
-    decode_index_node,
-    encode_index_node,
     read_label_table,
     read_string,
     read_u32,
@@ -59,25 +60,31 @@ class TestPrimitives:
 
 class TestIndexNodeRecords:
     def test_roundtrip(self):
-        record = encode_index_node(5, 2, 3, [10, 11, 12], [1, 2], [7])
-        decoded, offset = decode_index_node(record, 0)
-        assert offset == len(record)
-        assert decoded == {"nid": 5, "label_id": 2, "k": 3,
-                           "extent": [10, 11, 12], "children": [1, 2],
-                           "subnodes": [7]}
+        record = encode_index_node(2, 3, [10, 11, 12], [1, 2], [7])
+        assert decode_index_node(record) == {
+            "label_id": 2, "k": 3, "extent": (10, 11, 12),
+            "children": (1, 2), "subnodes": (7,)}
 
     def test_empty_lists(self):
-        record = encode_index_node(0, 0, 0, [], [], [])
-        decoded, _ = decode_index_node(record, 0)
-        assert decoded["extent"] == []
-        assert decoded["children"] == []
-        assert decoded["subnodes"] == []
+        record = encode_index_node(0, 0, [], [], [])
+        decoded = decode_index_node(record)
+        assert decoded["extent"] == ()
+        assert decoded["children"] == ()
+        assert decoded["subnodes"] == ()
 
     def test_consecutive_records_parse(self):
-        first = encode_index_node(1, 0, 0, [1], [], [])
-        second = encode_index_node(2, 1, 5, [2, 3], [1], [])
-        data = first + second
-        one, offset = decode_index_node(data, 0)
-        two, end = decode_index_node(data, offset)
-        assert (one["nid"], two["nid"]) == (1, 2)
-        assert end == len(data)
+        """Records sit back to back in a segment page, each behind its
+        ``key u32, value_len u32`` frame."""
+        first = encode_index_node(0, 0, [1], [], [])
+        second = encode_index_node(1, 5, [2, 3], [1], [])
+        data = b"".join(struct.pack("<II", key, len(record)) + record
+                        for key, record in ((1, first), (2, second)))
+        page = decode_segment_page(data, decode_index_node)
+        assert list(page) == [1, 2]
+        assert page[2]["extent"] == (2, 3)
+
+    def test_record_must_be_exactly_its_lists(self):
+        record = encode_index_node(2, 3, [10, 11, 12], [1, 2], [7])
+        for damaged in (record[:-4], record + b"\0" * 4, record[:9]):
+            with pytest.raises((ValueError, IndexError, struct.error)):
+                decode_index_node(damaged)

@@ -10,12 +10,8 @@ from repro.queries.pathexpr import PathExpression
 from repro.queries.workload import Workload
 from repro.storage.diskindex import DiskMStarIndex
 from repro.storage.pager import BufferPool, PageFile, PageRef
-from repro.storage.serialization import (
-    load_graph,
-    load_mstar,
-    save_graph,
-    save_mstar,
-)
+from repro.storage.segment import SegmentFormatError, decode_segment_page
+from repro.storage.serialization import load_graph, save_graph
 
 
 @pytest.fixture
@@ -63,13 +59,19 @@ class TestGraphSerialization:
             load_graph(path)
 
 
+def reload_in_memory(index, path, graph):
+    """Build the index file, reopen it, and load it back into RAM."""
+    DiskMStarIndex.build(index, path).close()
+    with DiskMStarIndex(path, graph) as disk:
+        return disk.to_memory()
+
+
 class TestMStarSerialization:
     def test_roundtrip_preserves_answers(self, small_xmark, refined_mstar,
                                          tmp_path):
         index, workload = refined_mstar
-        path = str(tmp_path / "i.rpms")
-        save_mstar(index, path)
-        loaded = load_mstar(path, small_xmark)
+        loaded = reload_in_memory(index, str(tmp_path / "i.seg"),
+                                  small_xmark)
         loaded.check_invariants()
         for expr in list(workload)[:25]:
             assert loaded.query(expr).answers == index.query(expr).answers
@@ -77,48 +79,66 @@ class TestMStarSerialization:
     def test_roundtrip_preserves_sizes(self, small_xmark, refined_mstar,
                                        tmp_path):
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpms")
-        save_mstar(index, path)
-        loaded = load_mstar(path, small_xmark)
+        loaded = reload_in_memory(index, str(tmp_path / "i.seg"),
+                                  small_xmark)
         assert loaded.size_nodes() == index.size_nodes()
         assert loaded.size_edges() == index.size_edges()
 
     def test_wrong_graph_rejected(self, small_xmark, small_nasa,
                                   refined_mstar, tmp_path):
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpms")
-        save_mstar(index, path)
-        with pytest.raises((ValueError, IndexError)):
-            load_mstar(path, small_nasa)
+        path = str(tmp_path / "i.seg")
+        DiskMStarIndex.build(index, path).close()
+        # A graph of another size is refused at open ...
+        with pytest.raises(ValueError, match="does not match this data"):
+            DiskMStarIndex(path, small_nasa)
+        # ... one of the same size but other labels when loaded.
+        from repro.graph.datagraph import DataGraph
+        relabelled = DataGraph()
+        for _ in range(small_xmark.num_nodes):
+            relabelled.add_node("x")
+        with DiskMStarIndex(path, relabelled) as disk:
+            with pytest.raises(ValueError, match="does not match this data"):
+                disk.to_memory()
 
     def test_bad_magic_rejected(self, small_xmark, tmp_path):
-        path = str(tmp_path / "bad.rpms")
+        path = str(tmp_path / "bad.seg")
         with open(path, "wb") as out:
             out.write(b"NOPE" + b"\0" * 16)
         with pytest.raises(ValueError, match="not a repro"):
-            load_mstar(path, small_xmark)
+            DiskMStarIndex(path, small_xmark)
+
+    @pytest.mark.parametrize("name", ["v1_fig1.rpms", "v1_fig1.rpdi"])
+    def test_v1_files_refused_with_rebuild_message(self, fig1, name):
+        """Files of the two removed v1 layouts (written by the last build
+        that had them) are refused at open, never misread."""
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "fixtures", "storage", name)
+        with pytest.raises(SegmentFormatError,
+                           match="v1 index file.*rebuild it with"):
+            DiskMStarIndex(path, fig1)
 
 
 class TestPager:
     def test_page_file_reads_and_counts(self, small_xmark, refined_mstar,
                                         tmp_path):
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpdi")
+        path = str(tmp_path / "i.seg")
         disk = DiskMStarIndex.build(index, path, page_size=512)
         assert disk.page_count > 1
-        first_key = next(iter(disk._file.pages))
-        records = disk._file.read_page(first_key)
+        file = disk.pool.file
+        records = file.read_page(next(iter(file.pages)))
         assert records
-        assert disk._file.reads == 1
+        assert file.reads == 1
         disk.close()
 
     def test_buffer_pool_lru_and_hits(self, small_xmark, refined_mstar,
                                       tmp_path):
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpdi")
+        path = str(tmp_path / "i.seg")
         disk = DiskMStarIndex.build(index, path, page_size=512,
                                     buffer_pages=2)
-        keys = list(disk._file.pages)[:3]
+        keys = list(disk.pool.file.pages)[:3]
         pool = disk.pool
         pool.page(keys[0])
         pool.page(keys[0])
@@ -140,11 +160,11 @@ class TestPager:
         import threading
 
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpdi")
+        path = str(tmp_path / "i.seg")
         disk = DiskMStarIndex.build(index, path, page_size=256,
                                     buffer_pages=4)
         pool = disk.pool
-        keys = list(disk._file.pages)
+        keys = list(disk.pool.file.pages)
         assert len(keys) >= 2
         pool.reset_stats()
         requests_per_thread = 400
@@ -179,7 +199,8 @@ class TestPager:
         path = str(tmp_path / "x")
         with open(path, "wb") as out:
             out.write(b"data")
-        file = PageFile(path, {(0, 0): PageRef(0, 4)})
+        file = PageFile(path, {(0, 0): PageRef(0, 4)},
+                        decoder=decode_segment_page)
         with pytest.raises(ValueError):
             BufferPool(file, 0)
         file.close()
@@ -190,7 +211,8 @@ class TestPager:
         path = str(tmp_path / "bad")
         with open(path, "wb") as out:
             out.write(b"\xff" * 64)
-        file = PageFile(path, {(0, 0): PageRef(0, 64)})
+        file = PageFile(path, {(0, 0): PageRef(0, 64)},
+                        decoder=decode_segment_page)
         with pytest.raises(ValueError, match=r"corrupt page \(0, 0\)"):
             file.read_page((0, 0))
         assert file.reads == 0
@@ -200,7 +222,8 @@ class TestPager:
         path = str(tmp_path / "short")
         with open(path, "wb") as out:
             out.write(b"\x00" * 8)
-        file = PageFile(path, {(3, 1): PageRef(0, 64)})
+        file = PageFile(path, {(3, 1): PageRef(0, 64)},
+                        decoder=decode_segment_page)
         with pytest.raises(ValueError, match=r"truncated page \(3, 1\)"):
             file.read_page((3, 1))
         assert file.reads == 0
@@ -209,7 +232,7 @@ class TestPager:
     def test_reset_stats_keeps_cache_warm(self, small_xmark, refined_mstar,
                                           tmp_path):
         index, workload = refined_mstar
-        path = str(tmp_path / "i.rpdi")
+        path = str(tmp_path / "i.seg")
         disk = DiskMStarIndex.build(index, path, buffer_pages=1000)
         for expr in list(workload)[:10]:
             disk.query(expr)
@@ -226,7 +249,7 @@ class TestDiskIndex:
     def test_answers_match_memory_index(self, small_xmark, refined_mstar,
                                         tmp_path):
         index, workload = refined_mstar
-        path = str(tmp_path / "i.rpdi")
+        path = str(tmp_path / "i.seg")
         with DiskMStarIndex.build(index, path) as disk:
             for expr in workload:
                 assert disk.query(expr).answers == \
@@ -236,7 +259,7 @@ class TestDiskIndex:
         index = MStarIndex(fig1)
         expr = PathExpression.parse("/site/people/person")
         index.refine(expr, index.query(expr))
-        path = str(tmp_path / "fig1.rpdi")
+        path = str(tmp_path / "fig1.seg")
         with DiskMStarIndex.build(index, path) as disk:
             result = disk.query(expr)
             assert result.answers == {7, 8, 9}
@@ -244,7 +267,7 @@ class TestDiskIndex:
 
     def test_validation_on_unrefined_queries(self, fig1, tmp_path):
         index = MStarIndex(fig1)
-        path = str(tmp_path / "fig1.rpdi")
+        path = str(tmp_path / "fig1.seg")
         with DiskMStarIndex.build(index, path) as disk:
             result = disk.query(PathExpression.parse("//site/people/person"))
             assert result.answers == {7, 8, 9}
@@ -253,7 +276,7 @@ class TestDiskIndex:
     def test_small_buffer_costs_more_io(self, small_xmark, refined_mstar,
                                         tmp_path):
         index, workload = refined_mstar
-        path = str(tmp_path / "i.rpdi")
+        path = str(tmp_path / "i.seg")
         DiskMStarIndex.build(index, path, page_size=512).close()
 
         def total_reads(buffer_pages):
@@ -270,12 +293,27 @@ class TestDiskIndex:
         """The selective-loading goal: a single-label query reads only
         the coarse component's pages."""
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpdi")
+        path = str(tmp_path / "i.seg")
         with DiskMStarIndex.build(index, path, page_size=512,
                                   buffer_pages=100_000) as disk:
             disk.query(PathExpression.parse("//item"))
             short_reads, _ = disk.io_stats()
             assert short_reads < disk.page_count / 2
+
+    def test_records_larger_than_the_page_budget(self, small_xmark,
+                                                 refined_mstar, tmp_path):
+        """Records are never split: one that exceeds ``page_size`` takes
+        an oversize page of its own and reads back whole."""
+        index, workload = refined_mstar
+        path = str(tmp_path / "i.seg")
+        with DiskMStarIndex.build(index, path, page_size=64,
+                                  buffer_pages=3) as disk:
+            lengths = [ref.length for ref in disk.pool.file.pages.values()]
+            assert max(lengths) > 64 > min(lengths)
+            for expr in list(workload)[:20]:
+                paged, memory = disk.query(expr), index.query(expr)
+                assert paged.answers == memory.answers
+                assert paged.cost.index_visits == memory.cost.index_visits
 
     def test_build_validation(self, fig1, tmp_path):
         index = MStarIndex(fig1)
@@ -283,14 +321,15 @@ class TestDiskIndex:
             DiskMStarIndex.build(index, str(tmp_path / "x"), page_size=8)
 
     def test_bad_magic_rejected(self, fig1, tmp_path):
-        path = str(tmp_path / "bad.rpdi")
+        path = str(tmp_path / "bad.seg")
         with open(path, "wb") as out:
             out.write(b"NOPE" + b"\0" * 16)
-        with pytest.raises(ValueError, match="not a repro disk-index"):
+        with pytest.raises(SegmentFormatError,
+                           match="not a repro segment"):
             DiskMStarIndex(path, fig1)
 
     def test_file_size_reasonable(self, small_xmark, refined_mstar, tmp_path):
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpdi")
+        path = str(tmp_path / "i.seg")
         DiskMStarIndex.build(index, path).close()
         assert os.path.getsize(path) > 0

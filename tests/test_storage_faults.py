@@ -14,11 +14,18 @@ never return wrong bytes.
 """
 
 import errno
+import functools
 import os
+import random
 import struct
 
 import pytest
 
+from repro.indexes.mstarindex import MStarIndex
+from repro.queries.evaluator import evaluate_on_data_graph
+from repro.queries.workload import Workload
+from repro.storage import diskindex
+from repro.storage.diskindex import DiskMStarIndex
 from repro.storage.pager import BufferPool, PageFile
 from repro.storage.segment import (
     Segment,
@@ -227,6 +234,168 @@ class TestDiskFull:
         writer.abort()
         with pytest.raises(SegmentFormatError):
             Segment(path)
+
+
+class TestFinishIsDurable:
+    """finish() must fsync before close: trailer-last recovery is only
+    sound if the pages are on disk before the trailer says they are."""
+
+    def test_fsync_follows_the_trailer_and_precedes_close(self, tmp_path,
+                                                          monkeypatch):
+        events = []
+
+        class Recording:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def write(self, data):
+                events.append(("write", bytes(data[-4:])))
+                return self._handle.write(data)
+
+            def close(self):
+                events.append(("close", self._handle.fileno()))
+                return self._handle.close()
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync",
+            lambda fd: (events.append(("fsync", fd)), real_fsync(fd))[1])
+        path = str(tmp_path / "durable.seg")
+        write_records(path, opener=lambda p, mode: Recording(open(p, mode)))
+        kinds = [kind for kind, _ in events]
+        assert kinds.count("fsync") == 1
+        synced = kinds.index("fsync")
+        assert events[synced - 1] == ("write", b"GSPR")
+        assert kinds[synced + 1:] == ["close"]
+        assert events[synced][1] == events[-1][1]  # the segment's own fd
+
+    def test_handle_without_a_descriptor_still_finishes(self, tmp_path):
+        class NoDescriptor:
+            def __init__(self, handle):
+                self.write, self.flush = handle.write, handle.flush
+                self.close = handle.close
+
+        path = str(tmp_path / "nofd.seg")
+        write_records(path, opener=lambda p, mode: NoDescriptor(open(p, mode)))
+        with Segment(path) as segment:
+            assert segment.get(7) == record_value(7)
+
+
+@pytest.fixture(scope="module")
+def refined_xmark(small_xmark):
+    workload = list(Workload.generate(small_xmark, num_queries=40,
+                                      max_length=6, seed=61))
+    index = MStarIndex(small_xmark)
+    for expr in workload:
+        index.refine(expr, index.query(expr))
+    return index, workload
+
+
+class TestMStarIndexFileFaults:
+    """The M*(k) index file is a segment: damage is a refusal at open or
+    a ``ValueError`` naming the page, never a wrong answer set."""
+
+    def test_single_bit_flips_never_change_an_answer(self, small_xmark,
+                                                     refined_xmark,
+                                                     tmp_path):
+        index, workload = refined_xmark
+        probes = [(expr, evaluate_on_data_graph(small_xmark, expr))
+                  for expr in workload[:5]]
+        path = str(tmp_path / "clean.seg")
+        DiskMStarIndex.build(index, path, page_size=256).close()
+        with open(path, "rb") as handle:
+            clean = handle.read(os.path.getsize(path))
+        rng = random.Random(20260927)
+        damaged_path = str(tmp_path / "flipped.seg")
+        outcomes = {"refused": 0, "raised": 0, "harmless": 0}
+        for _ in range(300):
+            position = rng.randrange(len(clean))
+            flipped = bytearray(clean)
+            flipped[position] ^= 1 << rng.randrange(8)
+            with open(damaged_path, "wb") as handle:
+                handle.write(flipped)
+            try:
+                disk = DiskMStarIndex(damaged_path, small_xmark)
+            except SegmentError:
+                outcomes["refused"] += 1
+                continue
+            with disk:
+                try:
+                    for expr, truth in probes:
+                        assert disk.query(expr).answers == truth, \
+                            f"silent wrong answer, byte {position}"
+                    outcomes["harmless"] += 1
+                except ValueError as exc:
+                    assert "corrupt page (0, " in str(exc)
+                    outcomes["raised"] += 1
+        # Header, footer and trailer flips are refused; page flips raise
+        # only when a probe reads that page.
+        assert all(outcomes.values()), outcomes
+
+    def test_truncated_file_refused_at_open(self, small_xmark,
+                                            refined_xmark, tmp_path):
+        index, _ = refined_xmark
+        path = str(tmp_path / "truncated.seg")
+        DiskMStarIndex.build(index, path).close()
+        size = os.path.getsize(path)
+        for keep in (size * 2 // 3, size - 1, 10):
+            with open(path, "rb+") as handle:
+                handle.truncate(keep)
+            with pytest.raises(SegmentFormatError):
+                DiskMStarIndex(path, small_xmark)
+
+    @pytest.mark.parametrize("faults, raised", [
+        ({"crash_write_index": 6}, RuntimeError),      # mid-pages
+        ({"capacity_bytes": 4096}, OSError),           # ENOSPC mid-pages
+    ])
+    def test_interrupted_build_refused_at_open(self, small_xmark,
+                                               refined_xmark, tmp_path,
+                                               monkeypatch, faults, raised):
+        index, _ = refined_xmark
+        path = str(tmp_path / "partial.seg")
+        monkeypatch.setattr(
+            diskindex, "SegmentWriter",
+            functools.partial(SegmentWriter, opener=faulty_opener(**faults)))
+        with pytest.raises(raised):
+            DiskMStarIndex.build(index, path, page_size=256)
+        assert os.path.getsize(path) > 8  # pages were written ...
+        with pytest.raises(SegmentFormatError,       # ... but no trailer
+                           match="no valid segment trailer"):
+            DiskMStarIndex(path, small_xmark)
+
+    def test_crash_before_trailer_refused_at_open(self, small_xmark,
+                                                  refined_xmark, tmp_path,
+                                                  monkeypatch):
+        """Every page and the footer reach the disk; only the trailer
+        (the last three writes) is missing."""
+        index, _ = refined_xmark
+        counted = str(tmp_path / "counted.seg")
+        writes = []
+
+        def counting_opener(path, mode):
+            handle = FaultyFile(open(path, mode))
+            real_write = handle.write
+            handle.write = lambda data: (writes.append(1), real_write(data))[1]
+            return handle
+
+        monkeypatch.setattr(
+            diskindex, "SegmentWriter",
+            functools.partial(SegmentWriter, opener=counting_opener))
+        DiskMStarIndex.build(index, counted, page_size=256).close()
+        path = str(tmp_path / "crashed.seg")
+        monkeypatch.setattr(
+            diskindex, "SegmentWriter",
+            functools.partial(SegmentWriter, opener=faulty_opener(
+                crash_write_index=len(writes) - 3)))
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            DiskMStarIndex.build(index, path, page_size=256)
+        assert os.path.getsize(path) == os.path.getsize(counted) - 12
+        with pytest.raises(SegmentFormatError,
+                           match="no valid segment trailer"):
+            DiskMStarIndex(path, small_xmark)
 
 
 class TestLegacyPageFileFaults:

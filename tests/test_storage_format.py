@@ -14,6 +14,11 @@ import struct
 
 import pytest
 
+from repro.graph.examples import figure1_auction_site
+from repro.indexes.mstarindex import MStarIndex
+from repro.queries.evaluator import evaluate_on_data_graph
+from repro.queries.pathexpr import PathExpression
+from repro.storage.diskindex import DiskMStarIndex
 from repro.storage.segment import (
     SEGMENT_MAGIC,
     SEGMENT_TAIL,
@@ -30,6 +35,11 @@ GOLDEN = os.path.join(FIXTURES, "golden_v2.seg")
 GOLDEN_SHA256 = \
     "362e3977676a90f85410957b47ec0632bfd550adc26c94cfcb36b0f388766f90"
 GOLDEN_META = {"format": "segment-v2", "kind": "golden"}
+GOLDEN_MSTAR = os.path.join(FIXTURES, "golden_mstar_v2.seg")
+GOLDEN_MSTAR_SHA256 = \
+    "971e9d6bbe7cdcc899e57adf7e1ab2329e812041d1072ccc5d5e2fdcbf528778"
+GOLDEN_MSTAR_FUPS = ("//site/people/person",
+                     "//auctions/auction/seller/person")
 
 
 def golden_records():
@@ -37,9 +47,13 @@ def golden_records():
         yield key, bytes((key * 7 + i) % 256 for i in range(key % 17))
 
 
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read(os.path.getsize(path))
+
+
 def golden_bytes() -> bytes:
-    with open(GOLDEN, "rb") as handle:
-        return handle.read(os.path.getsize(GOLDEN))
+    return read_bytes(GOLDEN)
 
 
 class TestGoldenFixture:
@@ -61,6 +75,47 @@ class TestGoldenFixture:
             assert segment.num_records == 100
             for key, value in golden_records():
                 assert segment.get(key) == value
+
+
+class TestGoldenMStarFixture:
+    """The M*(k) index file (segment kind ``mstar-nodes``): Figure 1's
+    document refined for two FUPs, page size 128."""
+
+    def test_fixture_sha256_is_pinned(self):
+        assert hashlib.sha256(read_bytes(GOLDEN_MSTAR)).hexdigest() == \
+            GOLDEN_MSTAR_SHA256
+
+    def test_rebuild_is_byte_identical(self, tmp_path):
+        graph = figure1_auction_site()
+        index = MStarIndex(graph)
+        for text in GOLDEN_MSTAR_FUPS:
+            expr = PathExpression.parse(text)
+            index.refine(expr, index.query(expr))
+        path = str(tmp_path / "rebuilt.seg")
+        DiskMStarIndex.build(index, path, page_size=128).close()
+        assert read_bytes(path) == read_bytes(GOLDEN_MSTAR)
+
+    def test_fixture_answers_and_loads(self):
+        graph = figure1_auction_site()
+        with DiskMStarIndex(GOLDEN_MSTAR, graph) as disk:
+            assert disk.num_components == 4
+            for text in GOLDEN_MSTAR_FUPS:
+                expr = PathExpression.parse(text)
+                result = disk.query(expr)
+                assert result.answers == evaluate_on_data_graph(graph, expr)
+                assert not result.validated
+            loaded = disk.to_memory()
+        loaded.check_invariants()
+        assert (loaded.size_nodes(), loaded.size_edges()) == (14, 22)
+
+    def test_record_layout_inside_first_page(self):
+        data = read_bytes(GOLDEN_MSTAR)
+        # Component 0, dense node 0 (the root): key u32, value_len u32,
+        # then label_id u32, k u16, and three count-prefixed u32 lists.
+        key, length, label_id, k = struct.unpack_from("<IIIH", data, 8)
+        assert (key, length, k) == (0, 30, 0)
+        extent_count, root_oid = struct.unpack_from("<II", data, 22)
+        assert (extent_count, root_oid) == (1, 0)
 
 
 class TestByteLayout:

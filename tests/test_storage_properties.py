@@ -10,12 +10,7 @@ from repro.indexes.mstarindex import MStarIndex
 from repro.queries.evaluator import evaluate_on_data_graph
 from repro.queries.workload import Workload
 from repro.storage.diskindex import DiskMStarIndex
-from repro.storage.serialization import (
-    load_graph,
-    load_mstar,
-    save_graph,
-    save_mstar,
-)
+from repro.storage.serialization import load_graph, save_graph
 from tests.test_properties import graphs
 
 SETTINGS = settings(max_examples=15, deadline=None,
@@ -46,9 +41,9 @@ class TestMStarRoundTrip:
         for expr in queries:
             index.refine(expr, index.query(expr))
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "i.rpms")
-            save_mstar(index, path)
-            loaded = load_mstar(path, graph)
+            path = os.path.join(tmp, "i.seg")
+            with DiskMStarIndex.build(index, path) as disk:
+                loaded = disk.to_memory()
         loaded.check_invariants()
         assert loaded.size_nodes() == index.size_nodes()
         assert loaded.size_edges() == index.size_edges()
@@ -66,9 +61,44 @@ class TestDiskIndexProperties:
         for expr in queries:
             index.refine(expr, index.query(expr))
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "i.rpdi")
+            path = os.path.join(tmp, "i.seg")
             with DiskMStarIndex.build(index, path, page_size=page_size,
                                       buffer_pages=3) as disk:
                 for expr in queries:
                     assert disk.query(expr).answers == \
                         evaluate_on_data_graph(graph, expr)
+
+    @SETTINGS
+    @given(graphs(), st.integers(0, 99),
+           st.sampled_from([64, 128, 512, 4096]))
+    def test_disk_equals_memory_index(self, graph, seed, page_size):
+        """Paged and in-RAM evaluation are the same algorithm: equal
+        answers, ``validated`` flag, visit counts and target nodes at
+        every page size — from 64 bytes, where a record often exceeds
+        the budget and takes an oversize page of its own, to 4096, where
+        the whole index is one page — and loading the file back gives
+        an index of the original size."""
+        queries = list(Workload.generate(graph, num_queries=6, max_length=4,
+                                         seed=seed))
+        index = MStarIndex(graph)
+        for expr in queries:
+            index.refine(expr, index.query(expr))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "i.seg")
+            with DiskMStarIndex.build(index, path, page_size=page_size,
+                                      buffer_pages=2) as disk:
+                for expr in queries:
+                    paged, memory = disk.query(expr), index.query(expr)
+                    assert paged.answers == memory.answers, expr
+                    assert paged.validated == memory.validated, expr
+                    assert paged.cost.index_visits == \
+                        memory.cost.index_visits, expr
+                    assert paged.cost.data_visits == \
+                        memory.cost.data_visits, expr
+                    assert [(t.label, t.k, set(t.extent))
+                            for t in paged.target_nodes] == \
+                        [(t.label, t.k, set(t.extent))
+                         for t in memory.target_nodes], expr
+                loaded = disk.to_memory()
+        assert loaded.size_nodes() == index.size_nodes()
+        assert loaded.size_edges() == index.size_edges()
