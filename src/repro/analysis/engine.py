@@ -3,8 +3,8 @@
 The engine is deliberately small: a **rule** is a function that receives
 a :class:`ModuleContext` (parsed tree, source, config, scope map) and
 reports :class:`Finding` objects; rules register themselves with the
-:func:`rule` decorator the same way bench groups and oracle families
-plug into their runners.  ``run_lint`` walks a set of files/directories,
+:func:`rule` decorator the same way oracle families plug into their
+runner.  ``run_lint`` walks a set of files/directories,
 runs every registered rule whose *scope predicate* accepts the file, and
 returns the findings partitioned into active and suppressed.
 

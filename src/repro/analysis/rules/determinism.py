@@ -2,7 +2,7 @@
 set-iteration-order dependence in the replayed core.
 
 Replay digests (``repro serve``), the differential oracle, and the
-bench trajectory all assume that two runs over the same document and
+benchmark's correctness checks all assume that two runs over the same document and
 workload produce byte-identical answers.  Three statically catchable
 ways to break that, banned in ``core/``, ``indexes/``, ``queries/`` and
 ``serving/``:

@@ -11,10 +11,6 @@ Commands:
 * ``report`` — regenerate the paper's full figure sweep as markdown;
 * ``verify`` — run the differential correctness oracle + fuzz harness
   over every index family (see :mod:`repro.verify`);
-* ``bench`` — measure the optimised hot paths (partition refinement,
-  cached workload replay, disabled-tracer overhead) against their
-  reference implementations and persist the numbers as a JSON artifact
-  (see :mod:`repro.bench`);
 * ``trace`` — run a workload with the tracer enabled and export a
   Chrome-trace JSON of the engine/index/evaluator/pager spans
   (see :mod:`repro.obs` and ``docs/observability.md``);
@@ -150,66 +146,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import BenchConfig, run_bench, write_bench
-
-    if args.smoke:
-        config = BenchConfig.smoke_config()
-    else:
-        config = BenchConfig(
-            scale=args.scale, seed=args.seed,
-            datasets=tuple(name.strip()
-                           for name in args.datasets.split(",")
-                           if name.strip()),
-            replay_queries=args.queries, replay_passes=args.passes)
-    report = run_bench(config, progress=print if args.verbose else None)
-    write_bench(report, args.output)
-    criteria = report["criteria"]
-    print(f"bench: wrote {args.output}")
-    print(f"bench: construction speedup (A(k), k>=4): "
-          f"{criteria['construction_speedup_k4_plus']}x; "
-          f"replay speedup: {criteria['replay_speedup_wall']}x "
-          f"(target {criteria['target']}x)")
-    print(f"bench: compact data plane best line: "
-          f"{criteria['compact_speedup_best']}x "
-          f"(target {criteria['compact_target']}x)")
-    print(f"bench: shard sweep {criteria['shard_counts']} digest vs "
-          f"single-shard: {'OK' if criteria['shard_sweep_ok'] else 'FAILED'}")
-    print(f"bench: network sweep {criteria['net_connection_counts']} "
-          f"connections (shards {criteria['net_shard_counts']}): "
-          f"{criteria['net_saturation_qps']:.0f} q/s saturation, wire "
-          f"digest vs in-process: "
-          f"{'OK' if criteria['net_sweep_ok'] else 'FAILED'}")
-    if criteria["replay_speedup_vs_pr4_min"] is not None:
-        print(f"bench: replay vs pr4 worst line "
-              f"({criteria['replay_baseline_source']} baseline): "
-              f"{criteria['replay_speedup_vs_pr4_min']}x "
-              f"(target {criteria['replay_vs_pr4_target']}x): "
-              f"{'OK' if criteria['replay_vs_pr4_ok'] else 'FAILED'}")
-    print(f"bench: ooc sweep {criteria['ooc_rows']} spill builds: worst "
-          f"peak {criteria['ooc_peak_ratio_worst']}x of budget (cap "
-          f"{criteria['ooc_peak_budget']}x), digests "
-          f"{'OK' if criteria['ooc_digest_ok'] else 'FAILED'}")
-    if not criteria["ooc_ok"]:
-        print("bench: FAILED — out-of-core spill builds missed a criterion "
-              "(digest, spills, dataset ratio, or peak bound)")
-        return 1
-    if not criteria["shard_sweep_ok"]:
-        print("bench: FAILED — sharded answers diverged from single-shard")
-        return 1
-    if not criteria["net_sweep_ok"]:
-        print("bench: FAILED — over-the-wire answers diverged from "
-              "in-process replay")
-        return 1
-    if not report["verify"]["ok"]:
-        print("bench: FAILED — oracle discrepancies with caching enabled:")
-        for line in report["verify"]["discrepancies"]:
-            print(f"  {line}")
-        return 1
-    print("bench: verify OK (cache-on and cache-off engines agree)")
-    return 0
-
-
 def cmd_ooc(args: argparse.Namespace) -> int:
     """Spill-build an index segment under a byte budget; verify it.
 
@@ -238,13 +174,10 @@ def cmd_ooc(args: argparse.Namespace) -> int:
     print(f"ooc: {args.dataset} scale {args.scale}: {graph.num_nodes} "
           f"nodes, budget {budget} bytes")
 
-    owned_tmp: tempfile.TemporaryDirectory | None = None
-    if args.output:
-        ak_path = args.output
-    else:
-        owned_tmp = tempfile.TemporaryDirectory(prefix="repro-ooc-")
-        ak_path = os.path.join(owned_tmp.name, f"ak{args.k}.seg")
-    try:
+    # Only ``--output`` outlives the command: the hierarchy segment (and
+    # the A(k) segment without ``--output``) live in this directory.
+    with tempfile.TemporaryDirectory(prefix="repro-ooc-") as tmp:
+        ak_path = args.output or os.path.join(tmp, f"ak{args.k}.seg")
         report = build_ak_segment(graph, args.k, ak_path,
                                   budget_bytes=budget,
                                   page_size=args.page_size)
@@ -290,9 +223,7 @@ def cmd_ooc(args: argparse.Namespace) -> int:
         print(f"ooc: {len(workload.queries)} queries match the in-RAM "
               f"index ({reads} page reads, {hits} pool hits)")
 
-        hier_dir = owned_tmp.name if owned_tmp else os.path.dirname(
-            os.path.abspath(ak_path))
-        hier_path = os.path.join(hier_dir, f"mstar{args.k}.seg")
+        hier_path = os.path.join(tmp, f"mstar{args.k}.seg")
         hier = build_hierarchy_segment(graph, args.k, hier_path,
                                        budget_bytes=budget,
                                        page_size=args.page_size)
@@ -301,8 +232,6 @@ def cmd_ooc(args: argparse.Namespace) -> int:
               f"{args.k + 1} levels ({hier.spills} spills, peak "
               f"{hier.peak_ratio:.2f}x budget), digest "
               f"{'matches' if matched else 'DIVERGES'}")
-        if not owned_tmp and not args.output:
-            os.unlink(hier_path)
         if not matched:
             print("ooc: CHECK FAILED — hierarchy digest diverges from the "
                   "in-RAM levels")
@@ -310,9 +239,6 @@ def cmd_ooc(args: argparse.Namespace) -> int:
         print("ooc: check OK — on-disk builds are byte-equivalent to "
               "in-RAM construction")
         return 0
-    finally:
-        if owned_tmp is not None:
-            owned_tmp.cleanup()
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
@@ -343,6 +269,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serving.replay import (
         ReplayConfig,
+        content_digest,
         load_workload,
         run_replay,
         save_workload,
@@ -411,18 +338,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"{report.conflicts} snapshot conflicts, "
           f"{report.degraded} degraded, {report.timeouts} past deadline")
     if args.shards > 1:
-        snap = serving.stats.snapshot()
-        pending = sum(shard.log.pending() for shard in serving.shards)
-        print(f"serve: {snap['fallbacks']} cross-shard fallbacks; "
-              f"{pending} pending segments across {args.shards} shards")
+        print(f"serve: {serving.stats.snapshot()['fallbacks']} cross-shard "
+              f"fallbacks across {args.shards} shards")
     print(f"serve: answers digest {report.digest}")
     if args.digest_out:
         with open(args.digest_out, "w") as handle:
             handle.write(report.digest + "\n")
         print(f"serve: digest written to {args.digest_out}")
     if args.content_digest_out:
-        from repro.bench.runner import content_digest
-
         digest = content_digest(serving, queries)
         with open(args.content_digest_out, "w") as handle:
             handle.write(digest + "\n")
@@ -516,8 +439,11 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         print(f"loadgen: report written to {args.json}")
 
     if args.check_inproc:
-        from repro.bench.runner import content_digest
-        from repro.serving.replay import ReplayConfig, run_replay
+        from repro.serving.replay import (
+            ReplayConfig,
+            content_digest,
+            run_replay,
+        )
 
         serving = _build_serving_engine(build_graph(), args.shards,
                                         banner="loadgen")
@@ -726,25 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--verbose", "-v", action="store_true",
                         help="print one status line per round")
     verify.set_defaults(handler=cmd_verify)
-
-    bench = commands.add_parser(
-        "bench",
-        help="hot-path benchmarks with a persisted JSON trajectory")
-    bench.add_argument("--output", "-o", default="BENCH_pr9.json",
-                       help="JSON artifact path (default: BENCH_pr9.json)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="small fixed configuration for CI")
-    bench.add_argument("--scale", type=float, default=0.05)
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--datasets", default="xmark,nasa",
-                       help="comma-separated dataset names")
-    bench.add_argument("--queries", type=int, default=120,
-                       help="replay workload size")
-    bench.add_argument("--passes", type=int, default=3,
-                       help="workload passes per replay measurement")
-    bench.add_argument("--verbose", "-v", action="store_true",
-                       help="print one status line per bench stage")
-    bench.set_defaults(handler=cmd_bench)
 
     ooc = commands.add_parser(
         "ooc",

@@ -31,20 +31,10 @@ through sets and raises :class:`ExtentMismatch` on any divergence.  The
 verification campaign (``repro verify``) runs with this armed, so every
 compact operation executed during an oracle round is differentially
 checked against the set-based path.
-
-Numpy backend
--------------
-``use_numpy(True)`` (or ``REPRO_EXTENT_NUMPY=1`` in the environment)
-switches the storage to ``numpy.int32`` arrays and the merge helpers to
-``numpy``'s C set routines (``intersect1d``/``union1d``/``setdiff1d``).
-The flag is read when an :class:`Extent` is constructed; mixing backends
-is safe (helpers normalise through iteration).  See
-``docs/tuning.md#compact-data-plane``.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
@@ -59,8 +49,6 @@ __all__ = [
     "extent_intersect",
     "extent_union",
     "extent_is_subset",
-    "use_numpy",
-    "numpy_enabled",
 ]
 
 _TYPECODE = "i"
@@ -68,41 +56,6 @@ _TYPECODE = "i"
 #: When True, every merge helper double-checks its output against the
 #: set-based reference semantics (the pre-compact implementation).
 _DIFFERENTIAL = False
-
-#: Lazily imported numpy module when the backend flag is on, else None.
-_NP = None
-_USE_NUMPY = False
-
-
-def _init_numpy_flag() -> None:
-    if os.environ.get("REPRO_EXTENT_NUMPY", "") not in ("", "0"):
-        use_numpy(True)
-
-
-def use_numpy(enabled: bool) -> bool:
-    """Toggle the numpy storage backend; returns the effective state.
-
-    Enabling is best-effort: when numpy is not importable the flag stays
-    off (the ``array`` backend is always available).
-    """
-    global _NP, _USE_NUMPY
-    if not enabled:
-        _USE_NUMPY = False
-        return False
-    if _NP is None:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - numpy present in CI image
-            _USE_NUMPY = False
-            return False
-        _NP = numpy
-    _USE_NUMPY = True
-    return True
-
-
-def numpy_enabled() -> bool:
-    """Is the numpy backend currently active?"""
-    return _USE_NUMPY
 
 
 class ExtentMismatch(AssertionError):
@@ -119,13 +72,6 @@ def differential_checks(enabled: bool = True):
         yield
     finally:
         _DIFFERENTIAL = previous
-
-
-def _storage(values: list[int]):
-    """Build backing storage for an ascending, deduplicated value list."""
-    if _USE_NUMPY:
-        return _NP.asarray(values, dtype=_NP.int32)
-    return array(_TYPECODE, values)
 
 
 class Extent:
@@ -159,14 +105,12 @@ class Extent:
             # Already deduplicated: sorting alone canonicalises, and
             # skipping the extra set() copy matters on the refinement
             # hot path (every split part passes through here).
-            return cls(_storage(sorted(values)))
-        return cls(_storage(sorted(set(values))))
+            return cls(array(_TYPECODE, sorted(values)))
+        return cls(array(_TYPECODE, sorted(set(values))))
 
     @classmethod
     def from_sorted(cls, values) -> "Extent":
         """Wrap an already strictly-ascending sequence without checking."""
-        if _USE_NUMPY:
-            return cls(_NP.asarray(values, dtype=_NP.int32))
         if isinstance(values, array) and values.typecode == _TYPECODE:
             return cls(values)
         return cls(array(_TYPECODE, values))
@@ -182,8 +126,6 @@ class Extent:
 
     def tolist(self) -> list[int]:
         """The members as a plain ascending ``list[int]``."""
-        if _USE_NUMPY and not isinstance(self._data, array):
-            return [int(v) for v in self._data]
         return self._data.tolist()
 
     def to_set(self) -> set[int]:
@@ -246,17 +188,7 @@ class Extent:
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Extent):
-            da, db = self._data, other._data
-            if len(da) != len(db):
-                return False
-            if isinstance(da, array) and isinstance(db, array):
-                return da == db
-            if not isinstance(da, array) and not isinstance(db, array):
-                return bool((da == db).all())
-            # Mixed backends (one array, one numpy): elementwise walk —
-            # numpy's == on an array operand is ambiguous as a truth
-            # value.
-            return all(int(x) == int(y) for x, y in zip(da, db))
+            return self._data == other._data
         if isinstance(other, (set, frozenset)):
             return len(other) == len(self._data) and \
                 self.members() == other
@@ -372,9 +304,6 @@ def extent_intersect(a, b) -> Extent:
     out: list[int] = []
     if not len(da) or not len(db):
         result = Extent.from_sorted(out)
-    elif _USE_NUMPY and not isinstance(da, array) \
-            and not isinstance(db, array):
-        result = Extent(_NP.intersect1d(da, db, assume_unique=True))
     elif len(db) > 8 * len(da):
         # Gallop: bisect each member of the small side into the large —
         # O(|a| log |b|), beats any whole-operand pass when sizes skew.
@@ -405,9 +334,6 @@ def extent_union(a, b) -> Extent:
         result = b
     elif not len(db):
         result = a
-    elif _USE_NUMPY and not isinstance(da, array) \
-            and not isinstance(db, array):
-        result = Extent(_NP.union1d(da, db))
     else:
         # C-level hash union + C sort; see extent_intersect.
         union = set(da)
@@ -424,9 +350,6 @@ def extent_difference(a, b) -> Extent:
     da, db = a._data, b._data
     if not len(da) or not len(db):
         result = a
-    elif _USE_NUMPY and not isinstance(da, array) \
-            and not isinstance(db, array):
-        result = Extent(_NP.setdiff1d(da, db, assume_unique=True))
     else:
         # C-level hash difference + C sort; see extent_intersect.
         result = Extent.from_sorted(sorted(set(da).difference(db)))
@@ -482,5 +405,3 @@ def extent_is_subset(a, b) -> bool:
         raise ExtentMismatch("extent_is_subset diverged from set reference")
     return result
 
-
-_init_numpy_flag()

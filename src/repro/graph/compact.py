@@ -6,8 +6,7 @@ list-of-lists adjacency: one flat ``array('i')`` of targets plus an
 the paper's DataGuide and rooted-path enumeration depend on insertion
 order, and digests over adjacency must not move under ``freeze()``.
 
-Rows are handed out as read-only ``memoryview`` slices (zero-copy), or
-read-only ``numpy.int32`` slices when the numpy backend is requested.
+Rows are handed out as read-only ``memoryview`` slices (zero-copy).
 The public :class:`ReadonlyRow`/:class:`AdjacencyListView` wrappers give
 the same protection to the *unfrozen* list-of-lists backing, closing the
 old aliasing hole where ``graph.children(oid)`` returned the live
@@ -41,10 +40,9 @@ class CompactAdjacency:
     """Frozen CSR adjacency: ``offsets[oid]..offsets[oid+1]`` slices
     ``targets`` into the (insertion-ordered) row of node ``oid``."""
 
-    __slots__ = ("_offsets", "_targets", "_view", "_numpy")
+    __slots__ = ("_offsets", "_targets", "_view")
 
-    def __init__(self, rows: Sequence[Sequence[int]],
-                 numpy_module=None) -> None:
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
         offsets = array("i", [0])
         targets = array("i")
         total = 0
@@ -52,19 +50,9 @@ class CompactAdjacency:
             targets.extend(row)
             total += len(row)
             offsets.append(total)
-        self._numpy = numpy_module
-        if numpy_module is not None:
-            np_offsets = numpy_module.asarray(offsets, dtype=numpy_module.int32)
-            np_targets = numpy_module.asarray(targets, dtype=numpy_module.int32)
-            np_offsets.flags.writeable = False
-            np_targets.flags.writeable = False
-            self._offsets = np_offsets
-            self._targets = np_targets
-            self._view = np_targets  # slices inherit the read-only flag
-        else:
-            self._offsets = offsets
-            self._targets = targets
-            self._view = memoryview(targets).toreadonly()
+        self._offsets = offsets
+        self._targets = targets
+        self._view = memoryview(targets).toreadonly()
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -94,9 +82,8 @@ class CompactAdjacency:
         """The raw ``(offsets, targets)`` CSR pair.
 
         Offsets has ``len(self) + 1`` entries; ``targets[offsets[i]:
-        offsets[i+1]]`` is row ``i``.  Both are ``array('i')`` (or
-        read-only ``numpy.int32`` under the numpy backend); callers must
-        treat them as immutable.  This is the bulk-consumer entry point:
+        offsets[i+1]]`` is row ``i``.  Both are ``array('i')``; callers
+        must treat them as immutable.  This is the bulk-consumer entry point:
         the vectorized partition refiner gathers ``blocks[targets]``
         straight off these arrays instead of iterating rows.
         """
@@ -114,8 +101,6 @@ class CompactAdjacency:
 
     def nbytes(self) -> int:
         """Approximate payload bytes (offsets + targets)."""
-        if self._numpy is not None:
-            return int(self._offsets.nbytes + self._targets.nbytes)
         return (len(self._offsets) + len(self._targets)) * self._offsets.itemsize
 
 

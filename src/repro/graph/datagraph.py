@@ -20,23 +20,18 @@ assigns, which makes level-0 block assignment a straight array copy.
 
 After construction, :meth:`DataGraph.freeze` packs both adjacency
 directions into CSR arrays (:class:`repro.graph.compact.CompactAdjacency`)
-— ``array('i')`` offsets plus flat targets, optionally ``numpy.int32``
-behind a flag.  Frozen graphs answer the same adjacency queries from
-contiguous memory; :meth:`thaw` (invoked automatically by the mutating
-methods) restores the append-friendly list-of-lists form, so document
-updates keep working unchanged.
+— ``array('i')`` offsets plus flat targets.  Frozen graphs answer the
+same adjacency queries from contiguous memory; :meth:`thaw` (invoked
+automatically by the mutating methods) restores the append-friendly
+list-of-lists form, so document updates keep working unchanged.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from collections.abc import Iterable, Iterator
 
 from repro.graph.compact import AdjacencyListView, CompactAdjacency, ReadonlyRow
-
-#: Environment flag: freeze() defaults to the numpy CSR backend when set.
-_NUMPY_ENV = "REPRO_GRAPH_NUMPY"
 
 
 class EdgeKind(enum.Enum):
@@ -141,27 +136,17 @@ class DataGraph:
         """Is the adjacency currently in compact CSR form?"""
         return self._children is None
 
-    def freeze(self, use_numpy: bool | None = None) -> "DataGraph":
+    def freeze(self) -> "DataGraph":
         """Pack both adjacency directions into CSR arrays.
 
         Row order is preserved exactly, so everything observable through
-        the accessors — including digests — is unchanged.  ``use_numpy``
-        selects the ``numpy.int32`` backend; ``None`` defers to the
-        ``REPRO_GRAPH_NUMPY`` environment flag.  Returns ``self`` so
-        builders can end with ``return graph.freeze()``.
+        the accessors — including digests — is unchanged.  Returns
+        ``self`` so builders can end with ``return graph.freeze()``.
         """
         if self.frozen:
             return self
-        numpy_module = None
-        if use_numpy is None:
-            use_numpy = os.environ.get(_NUMPY_ENV, "") not in ("", "0")
-        if use_numpy:
-            try:
-                import numpy as numpy_module
-            except ImportError:  # pragma: no cover - numpy present in CI
-                numpy_module = None
-        self._csr_children = CompactAdjacency(self._children, numpy_module)
-        self._csr_parents = CompactAdjacency(self._parents, numpy_module)
+        self._csr_children = CompactAdjacency(self._children)
+        self._csr_parents = CompactAdjacency(self._parents)
         self._children = None
         self._parents = None
         return self

@@ -26,8 +26,8 @@ Three implementations live here:
   making later rounds — and the fixpoint iteration of the 1-index in
   particular — near-free.
 * :class:`_VectorRefiner` — the vectorized path the ``kbisimulation_*``
-  entry points prefer when numpy is importable (disable with
-  ``REPRO_PARTITION_NUMPY=0``).  It is built on the compact data plane:
+  entry points use when numpy is importable (numpy is not a declared
+  dependency).  It is built on the compact data plane:
   interned label ids *are* the dense level-0 assignment, and the frozen
   CSR arrays (or a one-time flattening of the mutable rows) let a whole
   round run as array kernels — gather parent blocks, dedup ``(node,
@@ -48,7 +48,6 @@ enough in practice).
 
 from __future__ import annotations
 
-import os
 from itertools import chain
 
 from repro.graph.compact import CompactAdjacency
@@ -60,9 +59,6 @@ try:  # optional vectorized backend; every entry point works without it
     import numpy as _np
 except ImportError:  # pragma: no cover - container always ships numpy
     _np = None  # type: ignore[assignment]
-
-#: Environment flag: set to ``0`` to force the stdlib worklist refiner.
-_VECTOR_ENV = "REPRO_PARTITION_NUMPY"
 
 _M_ROUNDS = _metrics.REGISTRY.counter(
     "partition_rounds_total", "worklist refinement rounds executed")
@@ -118,13 +114,6 @@ def canonical_blocks(blocks: list[int]) -> list[int]:
         dense = renumbered.setdefault(block, len(renumbered))
         out.append(dense)
     return out
-
-
-def _vector_backend():
-    """The numpy module when the vectorized refiner may run, else None."""
-    if _np is None or os.environ.get(_VECTOR_ENV, "1") == "0":
-        return None
-    return _np
 
 
 # Construction-time refinement (array kernels); work is reported through
@@ -371,10 +360,9 @@ class _VectorRefiner:
 def _vectorized_kbisimulation(graph: DataGraph, k: int,
                               downward: bool = False) -> list[int] | None:
     """k rounds of vectorized refinement, or None to request fallback."""
-    np_mod = _vector_backend()
-    if np_mod is None:
+    if _np is None:
         return None
-    refiner = _VectorRefiner(np_mod, graph, downward=downward)
+    refiner = _VectorRefiner(_np, graph, downward=downward)
     for _ in range(k):
         moved = refiner.traced_round()
         if moved is None:
@@ -386,10 +374,9 @@ def _vectorized_kbisimulation(graph: DataGraph, k: int,
 
 # repro-lint: disable=cost-accounting
 def _vectorized_levels(graph: DataGraph, k: int) -> list[list[int]] | None:
-    np_mod = _vector_backend()
-    if np_mod is None:
+    if _np is None:
         return None
-    refiner = _VectorRefiner(np_mod, graph)
+    refiner = _VectorRefiner(_np, graph)
     levels = [refiner.snapshot()]
     stable = False
     for _ in range(k):
@@ -405,10 +392,9 @@ def _vectorized_levels(graph: DataGraph, k: int) -> list[list[int]] | None:
 # repro-lint: disable=cost-accounting
 def _vectorized_full(graph: DataGraph,
                      limit: int) -> tuple[list[int], int] | None:
-    np_mod = _vector_backend()
-    if np_mod is None:
+    if _np is None:
         return None
-    refiner = _VectorRefiner(np_mod, graph)
+    refiner = _VectorRefiner(_np, graph)
     rounds = 0
     while rounds < limit:
         moved = refiner.traced_round()

@@ -12,7 +12,7 @@ Layers, bottom up:
 * :mod:`repro.net.client` — :class:`~repro.net.client.NetClient`, a
   blocking single-connection RPC client;
 * :mod:`repro.net.loadgen` — the ``repro loadgen`` workload driver:
-  replays the bench workloads over N connections and reports
+  replays a workload over N connections and reports
   p50/p95/p99 latency, saturation throughput, and the over-the-wire
   ``content_digest`` for comparison with in-process replay.
 

@@ -1,4 +1,4 @@
-"""``repro loadgen``: replay a bench workload over the wire.
+"""``repro loadgen``: replay a workload over the wire.
 
 The driver mirrors :func:`repro.serving.replay.run_replay` exactly —
 same ``passes``-fold stream, same :func:`~repro.serving.replay._chunks`
@@ -6,9 +6,9 @@ split, same coordinator-applied updates from the same seeded generator
 — but pushes every query through :class:`~repro.net.client.NetClient`
 connections instead of in-process worker threads.  That one-to-one
 correspondence is what makes the final over-the-wire digest comparable
-to :func:`repro.bench.runner.content_digest` of an in-process replay:
+to :func:`repro.serving.replay.content_digest` of an in-process replay:
 both sides serve the identical document history, so the answers must be
-byte-identical and the bench gate diffs them.
+byte-identical and ``repro loadgen --check-inproc`` diffs them.
 
 Updates need the document to generate against
 (:func:`~repro.serving.replay.random_update` samples oids and labels
@@ -28,7 +28,6 @@ refused.
 
 from __future__ import annotations
 
-import hashlib
 import queue as _queue
 import random
 import threading
@@ -39,7 +38,7 @@ from typing import TYPE_CHECKING
 from repro.indexes import maintenance as _maintenance
 from repro.net.client import LoadShedError, NetClient
 from repro.queries.pathexpr import as_expression
-from repro.serving.replay import _chunks, random_update
+from repro.serving.replay import _chunks, _hash_answer_lines, random_update
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
@@ -105,7 +104,7 @@ class LoadgenReport:
     refinements: int = 0
     update_log: list[str] = field(default_factory=list)
     #: Answers-only digest over the wire — compare with
-    #: :func:`repro.bench.runner.content_digest` of an in-process run.
+    #: :func:`repro.serving.replay.content_digest` of an in-process run.
     content_digest: str = ""
 
     @property
@@ -170,18 +169,14 @@ def wire_content_digest(client: NetClient,
     """Answers-only digest of the *served* answers, over the wire.
 
     Hashes the same ``expr=[answers]`` lines as
-    :func:`repro.bench.runner.content_digest`, but from QUERY responses
+    :func:`repro.serving.replay.content_digest`, but from QUERY responses
     instead of a pinned in-process oracle — which is exactly the point:
     agreement proves the served answers match ground truth through the
     whole protocol stack.  Only meaningful while no updates are in
     flight (the loadgen runs it after the last round).
     """
-    unique = sorted({as_expression(q) for q in queries}, key=str)
-    hasher = hashlib.sha256()
-    for expr in unique:
-        answers = ",".join(map(str, client.query(str(expr))["answers"]))
-        hasher.update(f"{expr}=[{answers}]\n".encode())
-    return hasher.hexdigest()
+    return _hash_answer_lines(
+        queries, lambda expr: client.query(str(expr))["answers"])
 
 
 def run_loadgen(host: str, port: int, graph: "DataGraph",

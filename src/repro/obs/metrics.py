@@ -1,7 +1,7 @@
 """Zero-dependency metrics registry: counters, gauges, histograms.
 
 This absorbs the ad-hoc counting previously scattered across
-``EngineStats`` and the bench runner into one queryable place.  The
+``EngineStats`` into one queryable place.  The
 model is Prometheus-shaped but in-process only:
 
 * a **metric** has a unique name, a help string, and an optional tuple

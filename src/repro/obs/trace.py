@@ -31,7 +31,7 @@ would do work *building* tags (``str(expr)`` etc.) should guard on
     with sp:
         ...
 
-The bench suite measures this path and ``BENCH_pr3.json`` records that
+``tests/test_obs_integration.py`` measures this path and asserts that
 the instrumentation costs <= 5% of replay time when disabled (see
 ``docs/observability.md``).
 """

@@ -198,6 +198,63 @@ class PinnedSnapshot:
                                       as_expression(expr))
 
 
+def _serve_batch(query: "Callable[..., ServedResult]",
+                 queries: "Iterable[PathExpression | str]",
+                 workers: int, timeout: float | None,
+                 client_io: "Callable[[ServedResult], None] | None",
+                 thread_prefix: str,
+                 depth: "_metrics.Gauge | None" = None) -> list[ServedResult]:
+    """Answer a batch through ``query`` on ``workers`` threads.
+
+    The one worker pool behind :meth:`ServingEngine.serve` and
+    ``ShardedEngine.serve``: results come back in input order,
+    ``client_io`` runs on the worker thread, and worker exceptions
+    outside ``query``'s own handling are re-raised after the batch
+    drains.  ``depth``, when given, tracks queries waiting for a worker.
+    """
+    exprs = [as_expression(q) for q in queries]
+    if not exprs:
+        return []
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    results: list[ServedResult | None] = [None] * len(exprs)
+    work: _queue.SimpleQueue = _queue.SimpleQueue()
+    for item in enumerate(exprs):
+        work.put(item)
+    if depth is not None:
+        depth.inc(len(exprs))
+    errors: list[BaseException] = []
+
+    def run() -> None:
+        while True:
+            try:
+                position, expr = work.get_nowait()
+            except _queue.Empty:
+                return
+            try:
+                result = query(expr, timeout=timeout)
+                results[position] = result
+                if client_io is not None:
+                    client_io(result)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+            finally:
+                if depth is not None:
+                    depth.dec()
+
+    threads = [threading.Thread(target=run, name=f"{thread_prefix}-{i}",
+                                daemon=True)
+               for i in range(min(workers, len(exprs)))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    # Every queue item was processed or errored; errors raised above.
+    return results  # type: ignore[return-value]
+
+
 class ServingEngine:
     """Concurrent, snapshot-isolated front end for an adaptive engine.
 
@@ -468,50 +525,13 @@ class ServingEngine:
 
         ``client_io``, when given, is called with each result *on the
         worker thread* — the hook where a deployment writes the response
-        back to its client (and where the serving bench models that
-        I/O).  Worker exceptions outside :meth:`query`'s own handling
+        back to its client (and where ``run_replay`` models that I/O).
+        Worker exceptions outside :meth:`query`'s own handling
         are re-raised after the batch drains.
         """
-        exprs = [as_expression(q) for q in queries]
-        if not exprs:
-            return []
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        results: list[ServedResult | None] = [None] * len(exprs)
-        work: _queue.SimpleQueue = _queue.SimpleQueue()
-        for item in enumerate(exprs):
-            work.put(item)
-        depth = self._m_queue_depth
-        depth.inc(len(exprs))
-        errors: list[BaseException] = []
-
-        def run() -> None:
-            while True:
-                try:
-                    position, expr = work.get_nowait()
-                except _queue.Empty:
-                    return
-                try:
-                    result = self.query(expr, timeout=timeout)
-                    results[position] = result
-                    if client_io is not None:
-                        client_io(result)
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    errors.append(exc)
-                finally:
-                    depth.dec()
-
-        threads = [threading.Thread(target=run, name=f"serving-worker-{i}",
-                                    daemon=True)
-                   for i in range(min(workers, len(exprs)))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        # Every queue item was processed or errored; errors raised above.
-        return results  # type: ignore[return-value]
+        return _serve_batch(self.query, queries, workers, timeout,
+                            client_io, "serving-worker",
+                            depth=self._m_queue_depth)
 
     # ------------------------------------------------------------------
     # Writer path

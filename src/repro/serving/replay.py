@@ -1,10 +1,9 @@
 """Workload replay through the concurrent serving layer.
 
-This is the driver behind ``repro serve --replay`` and the serving
-bench group: it pushes a workload file through a
-:class:`~repro.serving.engine.ServingEngine` on N worker threads,
-interleaved with document-update rounds and FUP refinement, and reports
-throughput plus isolation bookkeeping.
+This is the driver behind ``repro serve --replay``: it pushes a
+workload file through a :class:`~repro.serving.engine.ServingEngine` on
+N worker threads, interleaved with document-update rounds and FUP
+refinement, and reports throughput plus isolation bookkeeping.
 
 Two design points worth knowing before reading the code:
 
@@ -20,9 +19,8 @@ Two design points worth knowing before reading the code:
   worker's response hook.  CPython's GIL serialises the index
   evaluation itself, so worker threads buy overlap of exactly this I/O
   — which is the honest throughput story for any threaded Python
-  server.  The serving bench sets a realistic stall and measures how
-  replay throughput scales with workers; with ``client_stall_s=0`` the
-  scaling collapses to ~1x, as it must.  See ``docs/serving.md``.
+  server.  With ``client_stall_s=0`` the scaling collapses to ~1x, as
+  it must.  See ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,9 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.queries.pathexpr import PathExpression, as_expression
 from repro.serving.engine import ServedResult, ServingEngine
@@ -187,6 +187,24 @@ def _chunks(items: list, pieces: int) -> list[list]:
     return out
 
 
+def _hash_answer_lines(queries: "Iterable[PathExpression | str]",
+                       answers_of: "Callable[[PathExpression], Iterable[int]]",
+                       header: str = "") -> str:
+    """SHA-256 over one ``expr=[answers]`` line per unique query.
+
+    :func:`answers_digest`, :func:`content_digest` and
+    :func:`repro.net.loadgen.wire_content_digest` all hash these lines —
+    queries sorted by text, answers in the order ``answers_of`` yields
+    them — so they differ only in where the answers come from and in
+    the ``header`` hashed first.
+    """
+    hasher = hashlib.sha256(header.encode())
+    for expr in sorted({as_expression(q) for q in queries}, key=str):
+        answers = ",".join(map(str, answers_of(expr)))
+        hasher.update(f"{expr}=[{answers}]\n".encode())
+    return hasher.hexdigest()
+
+
 def answers_digest(serving: ServingEngine,
                    queries: "Iterable[PathExpression | str]") -> str:
     """SHA-256 over final ground-truth answers of the unique queries.
@@ -197,14 +215,28 @@ def answers_digest(serving: ServingEngine,
     scheduling — the CI flake guard runs the same replay twice and
     fails on any digest difference.
     """
-    unique = sorted({as_expression(q) for q in queries}, key=str)
-    hasher = hashlib.sha256()
     with serving.pin() as snap:
-        hasher.update(f"epoch={snap.epoch}\n".encode())
-        for expr in unique:
-            answers = ",".join(map(str, sorted(snap.oracle(expr))))
-            hasher.update(f"{expr}=[{answers}]\n".encode())
-    return hasher.hexdigest()
+        return _hash_answer_lines(
+            queries, lambda expr: sorted(snap.oracle(expr)),
+            header=f"epoch={snap.epoch}\n")
+
+
+def content_digest(engine_like: Any,
+                   queries: "Iterable[PathExpression | str]") -> str:
+    """SHA-256 over final ground-truth answers, *without* the epoch line.
+
+    :func:`answers_digest` pins the epoch counter into its hash, which
+    is right for same-configuration determinism checks but wrong for
+    single-vs-sharded comparison: a sharded combiner counts
+    shard-local refinements on different clocks than a single engine,
+    while the *answers* must still be byte-identical.  This digest is
+    the answers-only view both sides (and
+    :func:`repro.net.loadgen.wire_content_digest`, from served answers)
+    must agree on.
+    """
+    with engine_like.pin() as snap:
+        return _hash_answer_lines(
+            queries, lambda expr: sorted(snap.oracle(expr)))
 
 
 def run_replay(serving: ServingEngine,

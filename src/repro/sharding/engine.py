@@ -23,12 +23,8 @@ on top:
   under the writer mutex, counted as ``fallbacks`` in the stats;
 * **writers** update the global mirror first (allocating the same oids
   a single-shard engine would, which is what makes the replay digests
-  comparable), then route the update to the owning shard and append an
-  immutable :class:`~repro.sharding.segments.Segment` to its log;
-* the **compactor** (:meth:`compact`, or the background thread started
-  by :meth:`start_compactor`) drains a shard's refinement backlog,
-  re-freezes its graph, and retires its segment run — one combiner
-  epoch per shard merge.
+  comparable), then route the update to the owning shard.  An update
+  thaws that shard's frozen graph and nothing re-freezes it yet.
 
 Completeness rests on placement: every tree path from the root lies
 inside one shard (the spine is replicated everywhere), so a query
@@ -41,8 +37,6 @@ document, so a local match is a global match.
 
 from __future__ import annotations
 
-import queue as _queue
-import threading
 import time
 from array import array
 from collections.abc import Callable, Iterable
@@ -58,11 +52,10 @@ from repro.indexes.mstarindex import MStarIndex
 from repro.queries.evaluator import evaluate_on_data_graph
 from repro.queries.pathexpr import PathExpression, WILDCARD, as_expression
 from repro.serving.engine import (_UNSET, ServedResult, ServingEngine,
-                                  ServingStats)
+                                  ServingStats, _serve_batch)
 from repro.serving.snapshot import EpochClock
 from repro.sharding.placement import (Placement, SPINE, compute_placement,
                                       shard_of_key, structural_key)
-from repro.sharding.segments import SegmentLog
 
 
 class ShardedStats(ServingStats):
@@ -92,9 +85,9 @@ class ShardedStats(ServingStats):
 
 
 class _Shard:
-    """One shard: local graph + serving engine + oid maps + segment log."""
+    """One shard: local graph + serving engine + oid maps."""
 
-    __slots__ = ("shard_id", "serving", "to_global", "g2l", "log")
+    __slots__ = ("shard_id", "serving", "to_global", "g2l")
 
     def __init__(self, shard_id: int, serving: ServingEngine,
                  to_global: list[int], g2l: dict[int, int]) -> None:
@@ -105,7 +98,6 @@ class _Shard:
         #: is what keeps mapped answers sorted for ``extent_union``.
         self.to_global = to_global
         self.g2l = g2l
-        self.log = SegmentLog(base_records=len(to_global))
 
 
 def _build_local_graph(graph: DataGraph,
@@ -178,8 +170,8 @@ class ShardedEngine:
     Duck-types the reader/writer surface of
     :class:`~repro.serving.engine.ServingEngine` (``query``, ``serve``,
     ``insert_subtree``, ``add_reference``, ``refine_pending``, ``pin``,
-    ``stats``, ``epoch``), so workload replay, the CLI, and the bench
-    drivers run unchanged against it.
+    ``stats``, ``epoch``), so workload replay, the CLI, and the
+    benchmark run unchanged against it.
 
     ``graph`` is the combiner's *global mirror*: the authoritative
     whole document, used for cross-shard fallback queries, pinned
@@ -252,9 +244,6 @@ class ShardedEngine:
             if who == SPINE:
                 structural_key(graph, oid, tree_parent, self._spine_keys)
 
-        self._compactor: threading.Thread | None = None
-        self._compactor_stop = threading.Event()
-
     def _spine_tree_parents(self) -> dict[int, int]:
         """Tree parents of spine nodes (REGULAR edges, first reach wins)."""
         owner = self.placement.owner
@@ -284,7 +273,7 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     @property
     def epoch(self) -> int:
-        """Committed combiner writer operations (updates + compactions)."""
+        """Committed combiner writer operations (document updates)."""
         return self.clock.epoch
 
     @property
@@ -303,17 +292,6 @@ class ShardedEngine:
     @property
     def num_cross_edges(self) -> int:
         return self._num_cross_edges
-
-    def shard_stats(self) -> list[dict]:
-        """Per-shard size/serving/segment bookkeeping for reports."""
-        out = []
-        for shard in self._shards:
-            stats = {"shard": shard.shard_id,
-                     "nodes": len(shard.to_global),
-                     "serving": shard.serving.stats.snapshot()}
-            stats.update(shard.log.stats())
-            out.append(stats)
-        return out
 
     # ------------------------------------------------------------------
     # Reader path
@@ -446,41 +424,8 @@ class ShardedEngine:
         runs on the worker thread, worker exceptions re-raise after the
         batch drains.
         """
-        exprs = [as_expression(q) for q in queries]
-        if not exprs:
-            return []
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        results: list[ServedResult | None] = [None] * len(exprs)
-        work: _queue.SimpleQueue = _queue.SimpleQueue()
-        for item in enumerate(exprs):
-            work.put(item)
-        errors: list[BaseException] = []
-
-        def run() -> None:
-            while True:
-                try:
-                    position, expr = work.get_nowait()
-                except _queue.Empty:
-                    return
-                try:
-                    result = self.query(expr, timeout=timeout)
-                    results[position] = result
-                    if client_io is not None:
-                        client_io(result)
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    errors.append(exc)
-
-        threads = [threading.Thread(target=run, name=f"shard-combiner-{i}",
-                                    daemon=True)
-                   for i in range(min(workers, len(exprs)))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results  # type: ignore[return-value]
+        return _serve_batch(self.query, queries, workers, timeout,
+                            client_io, "shard-combiner")
 
     # ------------------------------------------------------------------
     # Writer path
@@ -514,12 +459,12 @@ class ShardedEngine:
         """Insert ``(label, [children])`` under global oid ``parent_oid``.
 
         One combiner write window covers the mirror mutation, the
-        placement extension, the owning shard's (index-maintaining)
-        insert, and the segment append — a combiner reader sees none of
-        it or all of it.  Returns the new *global* oids, matching what
-        a single-shard engine would have allocated.
+        placement extension and the owning shard's (index-maintaining)
+        insert — a combiner reader sees none of it or all of it.
+        Returns the new *global* oids, matching what a single-shard
+        engine would have allocated.
         """
-        with self.clock.write() as epoch:
+        with self.clock.write():
             new_gids = _maintenance.insert_subtree(
                 self.graph, parent_oid, subtree, indexes=())
             who = self._owner_for_insert(parent_oid, new_gids[0], subtree[0])
@@ -530,8 +475,6 @@ class ShardedEngine:
             for gid, lid in zip(new_gids, new_lids):
                 shard.g2l[gid] = lid
                 shard.to_global.append(gid)
-            shard.log.append("insert_subtree",
-                             (parent_oid, subtree, tuple(new_gids)), epoch)
         self.stats.record_update()
         return new_gids
 
@@ -545,7 +488,7 @@ class ShardedEngine:
         mirror, its label pair added to the router's screen so affected
         queries take the exact global path.
         """
-        with self.clock.write() as epoch:
+        with self.clock.write():
             _maintenance.add_reference(self.graph, source_oid, target_oid,
                                        indexes=())
             owner = self.placement.owner
@@ -567,10 +510,6 @@ class ShardedEngine:
                 self._cross_pairs.add((self.graph.label(source_oid),
                                        self.graph.label(target_oid)))
                 self._num_cross_edges += 1
-            log_shard = who_source if who_source != SPINE else (
-                who_target if who_target != SPINE else 0)
-            self._shards[log_shard].log.append(
-                "add_reference", (source_oid, target_oid), epoch)
         self.stats.record_update()
 
     def refine_pending(self, limit: int | None = None) -> int:
@@ -590,67 +529,6 @@ class ShardedEngine:
             for _ in range(count):
                 self.stats.record_refinement()
         return applied
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-    def compact(self, shard_id: int | None = None) -> dict[str, int]:
-        """Fold segment runs into shard base packs.
-
-        Per shard, inside **one combiner epoch**: drain the shard's
-        refinement backlog (re-refining its index against everything
-        the segments delivered), re-freeze its graph into the compact
-        CSR form, and retire the segment run.  Compaction is
-        semantically invisible to readers — answers cannot change, only
-        representation and cost.
-        """
-        shards = self._shards if shard_id is None \
-            else [self._shards[shard_id]]
-        merged = 0
-        refined = 0
-        compactions = 0
-        for shard in shards:
-            with self.clock.write() as epoch:
-                refined += shard.serving.refine_pending()
-                with shard.serving.clock.write():
-                    shard.serving.graph.freeze()
-                retired = shard.log.compact(epoch)
-            if retired:
-                compactions += 1
-            merged += retired
-        return {"segments_merged": merged, "refinements": refined,
-                "compactions": compactions}
-
-    def start_compactor(self, interval_s: float = 0.05,
-                        min_pending: int = 1) -> None:
-        """Run the compactor on a background thread until
-        :meth:`stop_compactor`.
-
-        Each sweep compacts only shards with at least ``min_pending``
-        segments.  Background compaction advances the combiner epoch at
-        its own rhythm, so digest-determinism checks should compact
-        manually instead.
-        """
-        if self._compactor is not None:
-            raise RuntimeError("compactor already running")
-        self._compactor_stop.clear()
-
-        def run() -> None:
-            while not self._compactor_stop.wait(interval_s):
-                for shard in self._shards:
-                    if shard.log.pending() >= min_pending:
-                        self.compact(shard.shard_id)
-
-        self._compactor = threading.Thread(target=run, name="shard-compactor",
-                                           daemon=True)
-        self._compactor.start()
-
-    def stop_compactor(self) -> None:
-        """Stop the background compactor (no-op when not running)."""
-        compactor, self._compactor = self._compactor, None
-        if compactor is not None:
-            self._compactor_stop.set()
-            compactor.join()
 
     # ------------------------------------------------------------------
     # Pinned snapshots

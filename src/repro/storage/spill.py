@@ -14,10 +14,9 @@ sorted and deduplicated), and write into an immutable
 The budget governs the *data-plane working set*: the pair buffer, the
 per-run merge read chunks, the largest single extent being assembled,
 and the open segment page.  ``OocBuildReport.peak_tracked_bytes``
-records the high-water mark of exactly that sum; process RSS is
-reported separately by the bench (the interpreter baseline dwarfs any
-small test budget and is not what the pager controls — see
-``docs/storage.md``).
+records the high-water mark of exactly that sum; process RSS is not
+part of it (the interpreter baseline dwarfs any small test budget and
+is not what the pager controls — see ``docs/storage.md``).
 """
 
 from __future__ import annotations

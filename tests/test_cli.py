@@ -129,3 +129,27 @@ class TestVerify:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown index family"):
             main(["verify", "--rounds", "1", "--indexes", "nonsense"])
+
+
+class TestOoc:
+    def test_check_with_output_keeps_only_the_requested_file(
+            self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["ooc", "--scale", "0.005", "--k", "3",
+                     "--budget", "4096", "--page-size", "512",
+                     "--queries", "8", "--check",
+                     "-o", str(out_dir / "a.seg")]) == 0
+        assert "check OK" in capsys.readouterr().out
+        assert [entry.name for entry in out_dir.iterdir()] == ["a.seg"]
+
+
+class TestRemovedCommands:
+    def test_bench_is_rejected_and_unlisted(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--smoke"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "bench" not in capsys.readouterr().out

@@ -90,14 +90,6 @@ class TestFreezeThawParity:
         graph.add_edge(0, new)
         assert new in graph.children(0)
 
-    def test_numpy_backend_parity(self):
-        pytest.importorskip("numpy")
-        plain = _chain_and_star().freeze(use_numpy=False)
-        with_numpy = _chain_and_star().freeze(use_numpy=True)
-        for oid in plain.nodes():
-            assert list(plain.children(oid)) == list(with_numpy.children(oid))
-            assert list(plain.parents(oid)) == list(with_numpy.parents(oid))
-
 
 class TestReadonlyViews:
     @pytest.mark.parametrize("frozen", [False, True])

@@ -23,8 +23,6 @@ from repro.core.extents import (
     extent_intersect,
     extent_is_subset,
     extent_union,
-    numpy_enabled,
-    use_numpy,
 )
 
 oids = st.integers(min_value=0, max_value=2**20)
@@ -209,35 +207,3 @@ class TestDifferentialMode:
                 assert extents._DIFFERENTIAL is False
             assert extents._DIFFERENTIAL is True
         assert extents._DIFFERENTIAL is False
-
-
-class TestNumpyBackend:
-    @pytest.fixture(autouse=True)
-    def _numpy_or_skip(self):
-        pytest.importorskip("numpy")
-        enabled = use_numpy(True)
-        assert enabled and numpy_enabled()
-        yield
-        use_numpy(False)
-
-    @given(a=oid_sets, b=oid_sets)
-    @settings(max_examples=50, deadline=None)
-    def test_numpy_kernels_match_set_semantics(self, a, b):
-        ea, eb = Extent.from_iterable(a), Extent.from_iterable(b)
-        assert list(extent_intersect(ea, eb)) == sorted(a & b)
-        assert list(extent_union(ea, eb)) == sorted(a | b)
-        assert list(extent_difference(ea, eb)) == sorted(a - b)
-        assert ea.to_set() == a
-
-    def test_mixed_backends_interoperate(self):
-        np_extent = Extent.from_iterable([1, 2, 3])
-        use_numpy(False)
-        arr_extent = Extent.from_iterable([2, 3, 4])
-        assert (np_extent & arr_extent) == {2, 3}
-        assert np_extent == Extent.from_iterable([1, 2, 3])
-
-    @given(a=oid_sets, b=oid_sets)
-    @settings(max_examples=25, deadline=None)
-    def test_numpy_kernels_pass_differential_checks(self, a, b):
-        with differential_checks():
-            extent_union(Extent.from_iterable(a), Extent.from_iterable(b))

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runner import content_digest
 from repro.datasets import generate_xmark
 from repro.net.loadgen import (LoadgenConfig, _Mirror, percentile,
                                run_loadgen, wire_content_digest)
 from repro.net.server import IndexServer
 from repro.queries.workload import Workload
 from repro.serving.engine import ServingEngine
-from repro.serving.replay import ReplayConfig, run_replay
+from repro.serving.replay import ReplayConfig, content_digest, run_replay
 from repro.sharding import ShardedEngine
 
 

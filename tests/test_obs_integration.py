@@ -2,6 +2,7 @@
 ``repro trace`` CLI, and the disabled-tracer overhead budget."""
 
 import json
+import time
 
 import pytest
 
@@ -159,13 +160,49 @@ class TestTraceCli:
 
 class TestDisabledOverhead:
     def test_replay_overhead_within_budget(self, small_xmark):
-        from repro.bench.runner import run_trace_overhead_bench
+        """The disabled tracer costs <= 5% of cached replay time.
 
-        row = run_trace_overhead_bench(small_xmark, "xmark", queries=24,
-                                       max_length=5, seed=3, passes=2)
-        assert row["within_budget"], row
-        assert row["modeled_overhead_fraction"] <= 0.05
-        assert row["spans_recorded"] > 0
+        Instrumentation cannot be compiled out, so the overhead is
+        bounded from its parts: spans per query (counted by one enabled
+        replay) x the cost of one disabled ``span()`` call (the most a
+        disabled call site pays), over the per-query time of a disabled
+        replay (best of three).
+        """
+        workload = Workload.generate(small_xmark, num_queries=24,
+                                     max_length=5, seed=3)
+
+        def replay():
+            engine = AdaptiveIndexEngine(small_xmark,
+                                         index_factory=MStarIndex,
+                                         cache=True)
+            started = time.perf_counter()
+            for _ in range(2):
+                engine.execute_all(workload)
+            return time.perf_counter() - started, engine.stats.queries
+
+        assert not TRACER.enabled
+        TRACER.clear()
+        disabled_s, queries = min(replay() for _ in range(3))
+
+        TRACER.enable(clear=True)
+        try:
+            replay()
+            spans_per_query = TRACER.recorded / queries
+        finally:
+            TRACER.disable()
+            TRACER.clear()
+        assert spans_per_query > 0
+
+        calls = 200_000
+        started = time.perf_counter()
+        for _ in range(calls):
+            with TRACER.span("test.noop"):
+                pass
+        disabled_span_s = (time.perf_counter() - started) / calls
+
+        overhead = spans_per_query * disabled_span_s / (disabled_s / queries)
+        assert overhead <= 0.05, (spans_per_query, disabled_span_s,
+                                  disabled_s, queries)
         assert not TRACER.enabled
 
     def test_workload_results_identical_traced_or_not(self, fig1):
@@ -186,21 +223,3 @@ class TestDisabledOverhead:
             TRACER.disable()
             TRACER.clear()
         assert traced == plain
-
-
-class TestCommittedArtifact:
-    def test_bench_pr3_artifact_meets_criteria(self):
-        import os
-
-        path = os.path.join(os.path.dirname(__file__), "..",
-                            "BENCH_pr3.json")
-        with open(path) as handle:
-            report = json.load(handle)
-        assert report["name"] == "BENCH_pr3"
-        criteria = report["criteria"]
-        assert criteria["trace_overhead_ok"] is True
-        assert criteria["disabled_tracer_overhead_fraction"] <= 0.05
-        assert criteria["passed"] is True
-        assert report["verify"]["ok"] is True
-        for row in report["trace_overhead"]:
-            assert row["within_budget"], row
