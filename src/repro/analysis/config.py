@@ -31,11 +31,6 @@ GUARDED_ATTRIBUTES: Mapping[str, Mapping[str, str]] = MappingProxyType({
     "ServingStats": MappingProxyType({
         "queries": "_lock", "cache_hits": "_lock", "misses": "_lock",
         "conflicts": "_lock", "degraded": "_lock", "timeouts": "_lock",
-        "updates": "_lock", "refinements": "_lock",
-    }),
-    "ShardedStats": MappingProxyType({
-        "queries": "_lock", "cache_hits": "_lock", "misses": "_lock",
-        "conflicts": "_lock", "degraded": "_lock", "timeouts": "_lock",
         "updates": "_lock", "refinements": "_lock", "fallbacks": "_lock",
     }),
     "ServingEngine": MappingProxyType({
@@ -113,7 +108,7 @@ RANDOM_ALLOWED_MEMBERS = frozenset({"Random"})
 #: Paired resource methods the resource-balance pass proves balanced on
 #: every CFG path: acquire method -> the release that discharges it.
 #: ``__enter__``/``__exit__`` covers manually driven context managers
-#: (``hold = pool.hold_epoch(); hold.__enter__()``).
+#: (``cm = lock_factory(); cm.__enter__()``).
 RESOURCE_PAIRS: Mapping[str, str] = MappingProxyType({
     "pin": "unpin",
     "acquire": "release",
@@ -141,7 +136,7 @@ RECEIVER_ROLES: Mapping[str, tuple[str, ...]] = MappingProxyType({
     "engine": ("AdaptiveIndexEngine", "ServingEngine", "ShardedEngine"),
     "_engine": ("ServingEngine", "ShardedEngine"),
     "clock": ("EpochClock",),
-    "stats": ("EngineStats", "ServingStats", "ShardedStats"),
+    "stats": ("EngineStats", "ServingStats"),
     "pool": ("BufferPool",),
     "_pool": ("BufferPool",),
     "pools": (),
@@ -173,9 +168,7 @@ LOCK_IMPL_CLASSES = frozenset({"EpochClock"})
 
 #: Lock nodes backed by an ``RLock`` (or reentrant seqlock writer):
 #: self-edges on these are legal re-entry, not self-deadlock.
-REENTRANT_LOCK_IDS = frozenset({
-    "ServingEngine.clock", "ShardedEngine.clock", "ServingStats._lock",
-})
+REENTRANT_LOCK_IDS = frozenset({"SnapshotReader.clock"})
 
 #: Functions that fan a query out to multiple downstream engines: inside
 #: these, forwarding a budget *parameter verbatim* in a loop repeats the

@@ -3,8 +3,8 @@ lock-ordering graph; any cycle is a potential deadlock.
 
 The Eraser-style discipline: every lock gets a stable identity
 ``OwnerClass.attr`` (owner = the base-most class *assigning* the
-attribute, so ``ShardedStats`` methods taking ``self._lock`` map to the
-``ServingStats._lock`` they actually share).  Two acquisition shapes
+attribute, so a subclass method taking ``self._lock`` maps to the
+base-class lock it actually shares).  Two acquisition shapes
 are classified:
 
 * ``with self._lock:`` — attribute matching the configured lock-name

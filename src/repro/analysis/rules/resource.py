@@ -8,8 +8,8 @@ the fault-injection harness exercise dynamically:
 * ``BufferPool.pin`` -> ``unpin`` (a pin leaked on an exception path
   permanently blocks eviction of that page);
 * ``lock.acquire`` -> ``lock.release`` outside ``with``;
-* manually driven context managers (``hold = pool.hold_epoch();
-  hold.__enter__()``) -> ``__exit__``;
+* manually driven context managers (``cm = lock_factory();
+  cm.__enter__()``) -> ``__exit__``;
 * owned sockets (``socket.socket`` / ``socket.create_connection``
   bound to a local) -> ``close`` or an ownership transfer.
 

@@ -16,22 +16,10 @@ every index fingerprint built over it.
 
 from __future__ import annotations
 
-import struct
 from array import array
 from collections.abc import Iterator, Sequence
 
-__all__ = ["CompactAdjacency", "ReadonlyRow", "AdjacencyListView",
-           "row_from_bytes"]
-
-
-def row_from_bytes(payload: bytes) -> list[int]:
-    """Decode one :meth:`CompactAdjacency.row_bytes` payload.
-
-    The inverse used by the paged-adjacency reader
-    (:class:`repro.storage.spill.PagedAdjacency`).
-    """
-    count = len(payload) // 4
-    return list(struct.unpack(f"<{count}I", payload))
+__all__ = ["CompactAdjacency", "ReadonlyRow", "AdjacencyListView"]
 
 _MUTATION_ERROR = "adjacency views are read-only; mutate via DataGraph.add_edge"
 
@@ -88,16 +76,6 @@ class CompactAdjacency:
         straight off these arrays instead of iterating rows.
         """
         return self._offsets, self._targets
-
-    def row_bytes(self, oid: int) -> bytes:
-        """One row as pinned little-endian ``u32`` payload bytes.
-
-        This is the record format of adjacency *segments* (see
-        :func:`repro.storage.spill.build_adjacency_segment`): stable
-        across host endianness, decoded by :func:`row_from_bytes`.
-        """
-        row = self[oid]
-        return struct.pack(f"<{len(row)}I", *(int(v) for v in row))
 
     def nbytes(self) -> int:
         """Approximate payload bytes (offsets + targets)."""

@@ -71,7 +71,6 @@ class LoadgenConfig:
     update_rounds: int = 0
     updates_per_round: int = 1
     update_seed: int = 0
-    refine_between_rounds: bool = True
     #: Per-query deadline shipped on the wire (None = no budget field,
     #: server's ``default_timeout`` applies).
     budget_ms: int | None = None
@@ -212,8 +211,7 @@ def run_loadgen(host: str, port: int, graph: "DataGraph",
                 for _ in range(config.updates_per_round):
                     report.update_log.append(random_update(mirror, rng))
                     report.updates_applied += 1
-                if config.refine_between_rounds:
-                    report.refinements += control.refine()
+                report.refinements += control.refine()
         report.duration_s = serving_s
         latencies.sort()
         report.p50_ms = percentile(latencies, 0.50) * 1e3

@@ -42,8 +42,7 @@ from repro.serving.engine import _UNSET
 
 if TYPE_CHECKING:
     from repro.indexes.maintenance import SubtreeSpec
-    from repro.serving.engine import ServingEngine
-    from repro.sharding.engine import ShardedEngine
+    from repro.serving.engine import SnapshotReader
 
 #: Submitted work items carry everything a worker needs; the reader
 #: never blocks on the engine and the worker never touches the socket
@@ -114,7 +113,7 @@ class IndexServer:
             client = NetClient(*server.address)
     """
 
-    def __init__(self, engine: "ServingEngine | ShardedEngine",
+    def __init__(self, engine: "SnapshotReader",
                  host: str = "127.0.0.1", port: int = 0, *,
                  workers: int = 4, max_queue: int = 64,
                  io_timeout_s: float = 30.0) -> None:

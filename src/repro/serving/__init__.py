@@ -14,6 +14,7 @@ from repro.serving.engine import (
     ServedResult,
     ServingEngine,
     ServingStats,
+    SnapshotReader,
 )
 from repro.serving.replay import (
     ReplayConfig,
@@ -34,6 +35,7 @@ __all__ = [
     "ServedResult",
     "ServingEngine",
     "ServingStats",
+    "SnapshotReader",
     "answers_digest",
     "load_workload",
     "random_update",

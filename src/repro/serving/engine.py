@@ -19,6 +19,10 @@ Readers that keep colliding with writers (or run out of their deadline)
 oracle path under the writer mutex, which is always correct — the
 fallback trades latency for exactness, never exactness for latency.
 
+That read protocol is written once, in :class:`SnapshotReader`;
+:class:`ServingEngine` plugs its cache probe and index evaluation into
+it, and the sharded combiner (:mod:`repro.sharding.engine`) its fan-out.
+
 The engine-level result cache is reused through the index's
 ``cache_fingerprint`` tokens (PR 2): a token pins the per-label
 versions, mutation counters, and the maintenance ``epoch`` of every
@@ -37,9 +41,10 @@ import queue as _queue
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.core.engine import AdaptiveIndexEngine
 from repro.core.fup import FupExtractor
@@ -54,9 +59,6 @@ from repro.obs import trace as _trace
 from repro.queries.evaluator import evaluate_on_data_graph
 from repro.queries.pathexpr import PathExpression, as_expression
 from repro.serving.snapshot import EpochClock
-
-if TYPE_CHECKING:
-    from repro.storage.pager import BufferPool
 
 #: Sentinel distinguishing "no timeout given" from "timeout=None".
 #: Typed ``Any`` so ``timeout: float | None = _UNSET`` keeps the
@@ -87,15 +89,16 @@ class ServedResult:
     cache_hit: bool = False
     degraded: bool = False
     timed_out: bool = False
-    #: Set by the sharded combiner: the query was routed to the exact
-    #: global path because it could traverse a cross-shard edge (every
-    #: fallback answer is also a degraded one, never the reverse).
+    #: The query was *routed* to the exact path before any optimistic
+    #: attempt (the sharded combiner does this for queries that could
+    #: traverse a cross-shard edge).  Every fallback answer is also a
+    #: degraded one, never the reverse.
     fallback: bool = False
     duration_s: float = 0.0
 
 
 class ServingStats:
-    """Thread-safe running totals for one serving engine.
+    """Thread-safe running totals for one engine (single or sharded).
 
     Every counter derived from one result moves inside a *single* lock
     acquisition, so any :meth:`snapshot` (the stats RPC reads through
@@ -103,20 +106,20 @@ class ServingStats:
 
     * ``queries == cache_hits + misses`` — every answered query is
       exactly one of the two, and
-    * ``timeouts <= queries`` / ``degraded <= queries`` — per-result
-      flags can never outrun the query count.
+    * ``timeouts <= queries`` and ``fallbacks <= degraded <= queries`` —
+      per-result flags can never outrun the query count.
 
-    The lock is reentrant so subclasses (``ShardedStats``) can extend
-    :meth:`record_result` and keep their extra counters inside the same
-    atomic step; ``tests/test_stats_consistency.py`` hammers exactly
-    these invariants from concurrent readers.
+    ``fallbacks`` counts answers routed to the exact path up front; only
+    the sharded combiner routes, so it stays 0 on a single engine.
+    ``tests/test_stats_consistency.py`` hammers exactly these invariants
+    from concurrent readers.
     """
 
     _FIELDS = ("queries", "cache_hits", "misses", "conflicts", "degraded",
-               "timeouts", "updates", "refinements")
+               "timeouts", "updates", "refinements", "fallbacks")
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self.queries = 0
         self.cache_hits = 0
         self.misses = 0
@@ -125,6 +128,7 @@ class ServingStats:
         self.timeouts = 0
         self.updates = 0
         self.refinements = 0
+        self.fallbacks = 0
 
     def record_result(self, result: ServedResult) -> None:
         with self._lock:
@@ -138,6 +142,8 @@ class ServingStats:
                 self.degraded += 1
             if result.timed_out:
                 self.timeouts += 1
+            if result.fallback:
+                self.fallbacks += 1
 
     def record_update(self) -> None:
         with self._lock:
@@ -170,31 +176,31 @@ class _CacheEntry:
 class PinnedSnapshot:
     """A reader that pins the current epoch by excluding writers.
 
-    Yielded by :meth:`ServingEngine.pin`; while it is open, every query
-    (index path or oracle path) observes exactly the pinned epoch —
-    writers queue behind the mutex until the pin is released.  This is
+    Yielded by :meth:`SnapshotReader.pin`; while it is open, every
+    query (index path or oracle path) observes exactly the pinned epoch
+    — writers queue behind the mutex until the pin is released.  This is
     what the stress suite's oracle and the epoch-boundary regression
     tests use to ask "what was true at epoch ``e``" while concurrent
     updates are in flight.
     """
 
-    def __init__(self, serving: "ServingEngine", epoch: int,
-                 page_epochs: tuple[int, ...] = ()) -> None:
-        self._serving = serving
+    def __init__(self, reader: "SnapshotReader", epoch: int) -> None:
+        self._reader = reader
         self.epoch = epoch
-        #: Buffer-pool epochs held for the pin's lifetime — one per pool
-        #: attached via :meth:`ServingEngine.attach_page_pool`.  While
-        #: the pin is open no attached pool evicts, so every page this
-        #: snapshot reads stays resident at exactly these epochs.
-        self.page_epochs = page_epochs
 
     def query(self, expr: "PathExpression | str") -> QueryResult:
-        """Evaluate through the index at the pinned epoch."""
-        return self._serving.index.query(as_expression(expr))
+        """Evaluate through ``reader.index`` at the pinned epoch.
+
+        On a sharded combiner ``index`` is shard 0's local index, so
+        this is a single-engine probe; :meth:`oracle` is the whole
+        document on either engine.
+        """
+        result: QueryResult = self._reader.index.query(as_expression(expr))
+        return result
 
     def oracle(self, expr: "PathExpression | str") -> set[int]:
         """Ground truth at the pinned epoch (data-graph navigation)."""
-        return evaluate_on_data_graph(self._serving.graph,
+        return evaluate_on_data_graph(self._reader.graph,
                                       as_expression(expr))
 
 
@@ -255,7 +261,221 @@ def _serve_batch(query: "Callable[..., ServedResult]",
     return results  # type: ignore[return-value]
 
 
-class ServingEngine:
+class SnapshotReader:
+    """The snapshot-read protocol, written once for every engine shape.
+
+    An answer is either *optimistic* — one :meth:`_attempt` that ran
+    entirely inside one committed epoch of :attr:`clock` — or *exact*:
+    evaluated on :attr:`graph` under the writer mutex.  This class owns
+    everything around those two: deadline resolution, the seqlock retry
+    loop, the exact path, the single late classification, the stats
+    record, batched serving and pinned snapshots.  An engine supplies
+    its optimistic evaluation (:meth:`_attempt`) and its writers, which
+    must commit inside ``self.clock.write()`` windows;
+    :class:`ServingEngine` and the sharded combiner are the two engines.
+    """
+
+    #: Layer name prefixing the spans :meth:`query` and the exact path
+    #: open (``<layer>.query`` / ``<layer>.degraded``).
+    _layer = "serving"
+    #: The engine's index (span tags, pinned index probes); set by the
+    #: engine.
+    index: Any
+    #: Gauge tracking queries waiting for a :meth:`serve` worker.
+    _m_queue_depth: "_metrics.Gauge | None" = None
+
+    def __init__(self, graph: DataGraph, *, max_attempts: int,
+                 default_timeout: float | None,
+                 now: "Callable[[], float] | None") -> None:
+        """``max_attempts`` bounds optimistic retries before a query
+        takes the exact path; ``default_timeout`` (seconds) applies to
+        queries that do not pass their own.  ``now`` replaces the
+        monotonic clock deadlines are measured on — only tests should
+        pass it (a fake clock is how the deadline boundary is pinned
+        deterministically).
+        """
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        self.graph = graph
+        self.max_attempts = max_attempts
+        self.default_timeout = default_timeout
+        self._now = time.monotonic if now is None else now
+        self.stats = ServingStats()
+        self.clock = EpochClock()
+
+    @property
+    def epoch(self) -> int:
+        """Number of committed writer operations."""
+        return self.clock.epoch
+
+    # ------------------------------------------------------------------
+    # What an engine supplies
+    # ------------------------------------------------------------------
+    def _attempt(self, expr: PathExpression, deadline: float | None) -> (
+            "tuple[set[int], bool, bool, CostCounter, tuple | None]"):
+        """One optimistic evaluation against the live structures:
+        ``(answers, validated, cache_hit, cost, token)``.
+
+        Runs without the writer mutex, so it may observe a half-applied
+        write; the retry loop discards it then (any exception it raises
+        is treated the same way).  ``answers`` must already be a copy
+        the caller may keep — taken here, *before* validation, because
+        a later write may recycle the structure it was read from.  A
+        non-``None`` ``token`` asks for the answer to be published
+        through :meth:`_cache_store` once the read has validated.
+        """
+        raise NotImplementedError
+
+    def _cache_store(self, expr: PathExpression, token: tuple,
+                     answers: set[int], validated: bool, epoch: int) -> None:
+        """Publish a validated miss under ``token`` (engines whose
+        :meth:`_attempt` never returns a token need not implement it)."""
+        raise NotImplementedError
+
+    def _observe(self, result: ServedResult) -> None:
+        """Post-result hook: engine-specific accounting for one answer."""
+
+    @property
+    def supports_updates(self) -> bool:
+        """Can the engine take document updates (vs rebuild-only)?"""
+        raise NotImplementedError
+
+    def insert_subtree(self, parent_oid: int,
+                       subtree: SubtreeSpec) -> list[int]:
+        """Insert ``(label, [children])`` under ``parent_oid`` atomically."""
+        raise NotImplementedError
+
+    def add_reference(self, source_oid: int, target_oid: int) -> None:
+        """Add an IDREF edge atomically."""
+        raise NotImplementedError
+
+    def refine_pending(self, limit: int | None = None) -> int:
+        """Adapt the index for queued FUPs; returns refinements applied."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Reader path
+    # ------------------------------------------------------------------
+    def query(self, expr: "PathExpression | str",
+              timeout: float | None = _UNSET) -> ServedResult:
+        """Answer one query with snapshot isolation.
+
+        Optimistic attempts retry on writer conflicts up to
+        ``max_attempts`` or the deadline, whichever bites first, then
+        the query degrades to the data-graph oracle path under the
+        writer mutex — slower, but always exact, so a conflicted query
+        returns a late correct answer rather than a fast wrong one.
+
+        Deadline classification happens here, in exactly one place and
+        with one comparator: a result is ``timed_out`` iff it *finished*
+        at or past its deadline (``>=``, matching the retry loop's own
+        cutoff), whatever path produced it.  ``degraded`` stays
+        orthogonal — it marks oracle-path answers — so a query that
+        degrades *and* finishes late counts once in ``degraded`` and
+        once in ``timeouts``, never twice in either.
+        """
+        expr = as_expression(expr)
+        timeout = self.default_timeout if timeout is _UNSET else timeout
+        started = self._now()
+        deadline = started + timeout if timeout is not None else None
+        tracer = _trace.TRACER
+        span = tracer.span(f"{self._layer}.query", query=str(expr),
+                           index=type(self.index).__name__) \
+            if tracer.enabled else _trace.NULL_SPAN
+        with span:
+            result = self._query_inner(expr, deadline)
+            finished = self._now()
+            result.duration_s = finished - started
+            result.timed_out = deadline is not None and finished >= deadline
+            span.tag(outcome="degraded" if result.degraded else "ok",
+                     epoch=result.epoch, attempts=result.attempts,
+                     cache="hit" if result.cache_hit else "miss")
+        self.stats.record_result(result)
+        self._observe(result)
+        return result
+
+    def _query_inner(self, expr: PathExpression,
+                     deadline: float | None) -> ServedResult:
+        conflicts = 0
+        attempts = 0
+        while attempts < self.max_attempts:
+            attempts += 1
+            clean, seq = self.clock.read()
+            if clean:
+                try:
+                    outcome = self._attempt(expr, deadline)
+                except Exception:
+                    # Torn read: a concurrent writer left the structures
+                    # mid-flight (dict resized during iteration, a node
+                    # id vanished, ...).  The sequence check would reject
+                    # this attempt anyway; count the conflict and retry.
+                    outcome = None
+                if outcome is not None and self.clock.validate(seq):
+                    answers, validated, cache_hit, cost, token = outcome
+                    if token is not None and not cache_hit:
+                        self._cache_store(expr, token, answers, validated,
+                                          seq // 2)
+                    return ServedResult(
+                        expr=expr, answers=answers, validated=validated,
+                        epoch=seq // 2, cost=cost, attempts=attempts,
+                        conflicts=conflicts, cache_hit=cache_hit)
+            conflicts += 1
+            if deadline is not None and self._now() >= deadline:
+                break
+            # Yield first, back off harder if the writer is long-running.
+            time.sleep(0 if conflicts < 2 else min(0.0002 * conflicts, 0.002))
+        return self._exact(expr, attempts, conflicts)
+
+    def _exact(self, expr: PathExpression, attempts: int, conflicts: int,
+               fallback: bool = False) -> ServedResult:
+        """Answer on the data graph under the writer mutex.
+
+        ``timed_out`` is classified by :meth:`query` once the result is
+        final — the exact path only marks *how* it was answered.
+        """
+        tracer = _trace.TRACER
+        span = tracer.span(f"{self._layer}.degraded", query=str(expr)) \
+            if tracer.enabled else _trace.NULL_SPAN
+        with span:
+            with self.clock.pause_writers() as epoch:
+                cost = CostCounter()
+                answers = evaluate_on_data_graph(self.graph, expr, cost)
+            span.tag(epoch=epoch)
+        return ServedResult(expr=expr, answers=answers, validated=True,
+                            epoch=epoch, cost=cost, attempts=attempts,
+                            conflicts=conflicts, degraded=True,
+                            fallback=fallback)
+
+    def serve(self, queries: "Iterable[PathExpression | str]",
+              workers: int = 4, timeout: float | None = _UNSET,
+              client_io: "Callable[[ServedResult], None] | None" = None,
+              ) -> list[ServedResult]:
+        """Answer a batch on ``workers`` threads; results in input order.
+
+        ``client_io``, when given, is called with each result *on the
+        worker thread* — the hook where a deployment writes the response
+        back to its client (and where ``run_replay`` models that I/O).
+        Worker exceptions outside :meth:`query`'s own handling
+        are re-raised after the batch drains.
+        """
+        return _serve_batch(self.query, queries, workers, timeout,
+                            client_io, f"{self._layer}-worker",
+                            depth=self._m_queue_depth)
+
+    @contextmanager
+    def pin(self) -> "Iterator[PinnedSnapshot]":
+        """Context manager yielding a :class:`PinnedSnapshot`.
+
+        Writers queue until the pin is released; a query issued through
+        the snapshot — even one that *finishes* while an update is
+        already waiting to commit — observes the pinned epoch's state.
+        Keep pins short: they add writer latency, never wrong answers.
+        """
+        with self.clock.pause_writers() as epoch:
+            yield PinnedSnapshot(self, epoch)
+
+
+class ServingEngine(SnapshotReader):
     """Concurrent, snapshot-isolated front end for an adaptive engine.
 
     Example::
@@ -265,8 +485,9 @@ class ServingEngine:
         serving.insert_subtree(0, ("item", [("name", [])]))
         serving.refine_pending()                  # adapt to observed FUPs
 
-    Readers (:meth:`query`, :meth:`serve`) are safe from any thread;
-    writers (:meth:`insert_subtree`, :meth:`add_reference`,
+    Readers (:meth:`query`, :meth:`serve`) are safe from any thread and
+    follow the :class:`SnapshotReader` protocol; writers
+    (:meth:`insert_subtree`, :meth:`add_reference`,
     :meth:`refine_pending`) serialise on the internal epoch clock.
     """
 
@@ -279,15 +500,11 @@ class ServingEngine:
                  now: "Callable[[], float] | None" = None) -> None:
         """Wrap an existing engine, or build one over ``source`` graph.
 
-        ``max_attempts`` bounds optimistic retries before a query
-        degrades to the locked oracle path; ``default_timeout`` (seconds)
-        applies to queries that do not pass their own.  ``cache``
-        controls the serving-layer result cache (token-guarded, shared
-        across workers); the wrapped engine's own cache stays whatever
-        it was configured with (it only runs under the writer lock).
-        ``now`` replaces the monotonic clock deadlines are measured on —
-        only tests should pass it (a fake clock is how the deadline
-        boundary is pinned deterministically).
+        ``cache`` controls the serving-layer result cache
+        (token-guarded, shared across workers); the wrapped engine's own
+        cache stays whatever it was configured with (it only runs under
+        the writer lock).  ``max_attempts``, ``default_timeout`` and
+        ``now`` are the :class:`SnapshotReader` knobs.
         """
         if isinstance(source, AdaptiveIndexEngine):
             self.engine = source
@@ -295,16 +512,10 @@ class ServingEngine:
             self.engine = AdaptiveIndexEngine(source,
                                               index_factory=index_factory,
                                               cache=cache)
-        self.graph = self.engine.graph
+        super().__init__(self.engine.graph, max_attempts=max_attempts,
+                         default_timeout=default_timeout, now=now)
         self.index = self.engine.index
         self.extractor = extractor if extractor is not None else FupExtractor()
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.max_attempts = max_attempts
-        self.default_timeout = default_timeout
-        self._now = time.monotonic if now is None else now
-        self.stats = ServingStats()
-        self.clock = EpochClock()
         self._fingerprint = getattr(self.index, "cache_fingerprint", None)
         self.cache_enabled = cache and self._fingerprint is not None
         if cache_size < 1:
@@ -315,22 +526,8 @@ class ServingEngine:
         self._fup_lock = threading.Lock()
         self._pending: deque[PathExpression] = deque()
         self._pending_set: set[PathExpression] = set()
-        #: Buffer pools whose eviction epoch pinned snapshots hold (see
-        #: :meth:`attach_page_pool`).
-        self._page_pools: list = []
         self._family = type(self.index).__name__
         self._bind_metrics()
-
-    def attach_page_pool(self, pool: "BufferPool") -> None:
-        """Register a storage-layer :class:`BufferPool` with this engine.
-
-        While a :meth:`pin` is open, every attached pool holds its
-        eviction epoch (``BufferPool.hold_epoch``): pages the snapshot
-        reads stay resident until the pin is released, so a pinned
-        reader can re-touch an extent page without re-paying the read —
-        and without a concurrent scan evicting it mid-snapshot.
-        """
-        self._page_pools.append(pool)
 
     def _bind_metrics(self) -> None:
         registry = _metrics.REGISTRY
@@ -368,11 +565,6 @@ class ServingEngine:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def epoch(self) -> int:
-        """Number of committed writer operations."""
-        return self.clock.epoch
-
-    @property
     def supports_updates(self) -> bool:
         """Can the wrapped index take document updates (vs rebuild-only)?"""
         return _maintenance.maintainable(self.index)
@@ -383,119 +575,22 @@ class ServingEngine:
             return list(self._pending)
 
     # ------------------------------------------------------------------
-    # Reader path
+    # Reader path (the protocol around these is SnapshotReader's)
     # ------------------------------------------------------------------
-    def query(self, expr: "PathExpression | str",
-              timeout: float | None = _UNSET) -> ServedResult:
-        """Answer one query with snapshot isolation.
-
-        Optimistic attempts retry on writer conflicts up to
-        ``max_attempts`` or the deadline, whichever bites first, then
-        the query degrades to the data-graph oracle path under the
-        writer mutex — slower, but always exact, so a conflicted query
-        returns a late correct answer rather than a fast wrong one.
-
-        Deadline classification happens here, in exactly one place and
-        with one comparator: a result is ``timed_out`` iff it *finished*
-        at or past its deadline (``>=``, matching the retry loop's own
-        cutoff), whatever path produced it.  ``degraded`` stays
-        orthogonal — it marks oracle-path answers — so a query that
-        degrades *and* finishes late counts once in ``degraded`` and
-        once in ``timeouts``, never twice in either.
-        """
-        expr = as_expression(expr)
-        timeout = self.default_timeout if timeout is _UNSET else timeout
-        started = self._now()
-        deadline = started + timeout if timeout is not None else None
-        tracer = _trace.TRACER
-        span = tracer.span("serving.query", query=str(expr),
-                           index=self._family) if tracer.enabled \
-            else _trace.NULL_SPAN
-        with span:
-            result = self._query_inner(expr, deadline)
-            finished = self._now()
-            result.duration_s = finished - started
-            result.timed_out = deadline is not None and finished >= deadline
-            span.tag(outcome="degraded" if result.degraded else "ok",
-                     epoch=result.epoch, attempts=result.attempts,
-                     cache="hit" if result.cache_hit else "miss")
-        self.stats.record_result(result)
-        (self._m_degraded if result.degraded else self._m_ok).inc()
-        if result.conflicts:
-            self._m_conflicts.inc(result.conflicts)
-        if result.timed_out:
-            self._m_timeouts.inc()
-        if result.cache_hit:
-            self._m_cache_hits.inc()
-        self._m_attempts.observe(result.attempts)
-        self._observe_fup(expr, result)
-        return result
-
-    def _query_inner(self, expr: PathExpression,
-                     deadline: float | None) -> ServedResult:
-        conflicts = 0
-        attempts = 0
-        while attempts < self.max_attempts:
-            attempts += 1
-            clean, seq = self.clock.read()
-            if clean:
-                outcome = self._attempt(expr, seq)
-                if outcome is not None and self.clock.validate(seq):
-                    answers, validated, cache_hit, cost, token = outcome
-                    if token is not None and not cache_hit:
-                        self._cache_store(expr, token, answers, validated,
-                                          seq // 2)
-                    return ServedResult(
-                        expr=expr, answers=set(answers), validated=validated,
-                        epoch=seq // 2, cost=cost, attempts=attempts,
-                        conflicts=conflicts, cache_hit=cache_hit)
-            conflicts += 1
-            if deadline is not None and self._now() >= deadline:
-                break
-            # Yield first, back off harder if the writer is long-running.
-            time.sleep(0 if conflicts < 2 else min(0.0002 * conflicts, 0.002))
-        return self._degraded_query(expr, attempts, conflicts)
-
-    def _attempt(self, expr: PathExpression, seq: int) -> (
-            "tuple[set[int] | frozenset[int], bool, bool, CostCounter, tuple | None] | None"):
-        """One optimistic evaluation; ``None`` signals a torn read."""
-        try:
-            token = None
-            if self.cache_enabled:
-                token = self._fingerprint(expr)
-                with self._cache_lock:
-                    entry = self._cache.get(expr)
-                if entry is not None and entry.token == token:
-                    return (entry.answers, entry.validated, True,
-                            CostCounter(index_visits=1), token)
-            cost = CostCounter()
-            result = self.index.query(expr, cost)
-            # Copy out before validation: the caller owns the answer set,
-            # and the index may recycle target extents on a later write.
-            return (set(result.answers), result.validated, False,
-                    cost, token)
-        except Exception:
-            # A concurrent writer left the structures mid-flight (dict
-            # resized during iteration, a node id vanished, ...).  The
-            # sequence check would reject this attempt anyway; bail out
-            # early and let the retry loop decide.
-            return None
-
-    def _degraded_query(self, expr: PathExpression, attempts: int,
-                        conflicts: int) -> ServedResult:
-        # ``timed_out`` is classified by the caller once the result is
-        # final — the degraded path only marks *how* it was answered.
-        tracer = _trace.TRACER
-        span = tracer.span("serving.degraded", query=str(expr)) \
-            if tracer.enabled else _trace.NULL_SPAN
-        with span:
-            with self.clock.pause_writers() as epoch:
-                cost = CostCounter()
-                answers = evaluate_on_data_graph(self.graph, expr, cost)
-            span.tag(epoch=epoch)
-        return ServedResult(expr=expr, answers=answers, validated=True,
-                            epoch=epoch, cost=cost, attempts=attempts,
-                            conflicts=conflicts, degraded=True)
+    def _attempt(self, expr: PathExpression, deadline: float | None) -> (
+            "tuple[set[int], bool, bool, CostCounter, tuple | None]"):
+        """Cache probe, then the index (``deadline`` is the loop's)."""
+        token = None
+        if self.cache_enabled:
+            token = self._fingerprint(expr)
+            with self._cache_lock:
+                entry = self._cache.get(expr)
+            if entry is not None and entry.token == token:
+                return (set(entry.answers), entry.validated, True,
+                        CostCounter(index_visits=1), token)
+        cost = CostCounter()
+        result = self.index.query(expr, cost)
+        return set(result.answers), result.validated, False, cost, token
 
     def _cache_store(self, expr: PathExpression, token: tuple,
                      answers: set[int], validated: bool, epoch: int) -> None:
@@ -506,32 +601,24 @@ class ServingEngine:
                 self._cache.pop(next(iter(self._cache)))  # FIFO eviction
             self._cache[expr] = entry
 
-    def _observe_fup(self, expr: PathExpression, result: ServedResult) -> None:
-        """Queue refinement work for frequent, still-validating queries."""
+    def _observe(self, result: ServedResult) -> None:
+        """Registry counters and FUP queueing — kept off the shared path
+        so a sharded combiner does not double-count its shards."""
+        (self._m_degraded if result.degraded else self._m_ok).inc()
+        if result.conflicts:
+            self._m_conflicts.inc(result.conflicts)
+        if result.timed_out:
+            self._m_timeouts.inc()
+        if result.cache_hit:
+            self._m_cache_hits.inc()
+        self._m_attempts.observe(result.attempts)
+        # Queue refinement work for frequent, still-validating queries.
+        expr = result.expr
         with self._fup_lock:
             frequent = self.extractor.observe(expr)
             if frequent and result.validated and expr not in self._pending_set:
                 self._pending_set.add(expr)
                 self._pending.append(expr)
-
-    # ------------------------------------------------------------------
-    # Batched serving
-    # ------------------------------------------------------------------
-    def serve(self, queries: "Iterable[PathExpression | str]",
-              workers: int = 4, timeout: float | None = _UNSET,
-              client_io: "Callable[[ServedResult], None] | None" = None,
-              ) -> list[ServedResult]:
-        """Answer a batch on ``workers`` threads; results in input order.
-
-        ``client_io``, when given, is called with each result *on the
-        worker thread* — the hook where a deployment writes the response
-        back to its client (and where ``run_replay`` models that I/O).
-        Worker exceptions outside :meth:`query`'s own handling
-        are re-raised after the batch drains.
-        """
-        return _serve_batch(self.query, queries, workers, timeout,
-                            client_io, "serving-worker",
-                            depth=self._m_queue_depth)
 
     # ------------------------------------------------------------------
     # Writer path
@@ -579,7 +666,9 @@ class ServingEngine:
         Each expression is replayed through the wrapped engine's full
         adaptive loop inside its *own* write window, so long refinement
         backlogs never starve readers for the whole batch — conflicts
-        stay per-refinement.
+        stay per-refinement.  A replay the wrapped engine declines to
+        refine (its own extractor does not find the query frequent yet)
+        commits an epoch but is not counted, here or against ``limit``.
         """
         applied = 0
         tracer = _trace.TRACER
@@ -593,66 +682,21 @@ class ServingEngine:
                 if tracer.enabled else _trace.NULL_SPAN
             with span:
                 with self.clock.write() as epoch:
+                    # The window is exclusive, so this read-execute-read
+                    # sees only this replay's refinements.
+                    before = self.engine.stats.refinements
                     self.engine.execute(expr)
+                    refined = self.engine.stats.refinements > before
                 span.tag(epoch=epoch)
-            applied += 1
-            self.stats.record_refinement()
-            self._m_updates.labels(index=self._family, kind="refine").inc()
             self._m_epoch.set(self.clock.epoch)
+            if refined:
+                applied += 1
+                self.stats.record_refinement()
+                self._m_updates.labels(index=self._family,
+                                       kind="refine").inc()
         return applied
-
-    # ------------------------------------------------------------------
-    # Pinned snapshots
-    # ------------------------------------------------------------------
-    def pin(self) -> "_Pin":
-        """Context manager yielding a :class:`PinnedSnapshot`.
-
-        Writers queue until the pin is released; a query issued through
-        the snapshot — even one that *finishes* while an update is
-        already waiting to commit — observes the pinned epoch's state.
-        Keep pins short: they add writer latency, never wrong answers.
-        """
-        return _Pin(self)
 
     def __repr__(self) -> str:
         return (f"ServingEngine(index={self._family}, "
                 f"epoch={self.clock.epoch}, "
                 f"queries={self.stats.snapshot()['queries']})")
-
-
-class _Pin:
-    """Context manager backing :meth:`ServingEngine.pin`."""
-
-    def __init__(self, serving: ServingEngine) -> None:
-        self._serving = serving
-        self._cm = None
-        self._page_holds: list = []
-
-    def __enter__(self) -> PinnedSnapshot:
-        # Hold every attached buffer pool's eviction epoch first: by the
-        # time writers are paused, no page the snapshot reads can be
-        # evicted out from under it.
-        page_epochs = []
-        try:
-            for pool in self._serving._page_pools:
-                hold = pool.hold_epoch()
-                page_epochs.append(hold.__enter__())
-                self._page_holds.append(hold)
-            self._cm = self._serving.clock.pause_writers()
-            epoch = self._cm.__enter__()
-        except BaseException:
-            self._release_page_holds()
-            raise
-        return PinnedSnapshot(self._serving, epoch, tuple(page_epochs))
-
-    def _release_page_holds(self) -> None:
-        holds, self._page_holds = self._page_holds, []
-        for hold in reversed(holds):
-            hold.__exit__(None, None, None)
-
-    def __exit__(self, *exc: object) -> bool:
-        cm, self._cm = self._cm, None
-        try:
-            return bool(cm.__exit__(*exc))
-        finally:
-            self._release_page_holds()

@@ -30,10 +30,9 @@ import random
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.queries.pathexpr import PathExpression, as_expression
-from repro.serving.engine import ServedResult, ServingEngine
+from repro.serving.engine import ServedResult, SnapshotReader
 
 
 def load_workload(path: str) -> list[PathExpression]:
@@ -66,7 +65,7 @@ def save_workload(path: str, queries: "Iterable[PathExpression | str]",
             handle.write(f"{as_expression(query)}\n")
 
 
-def random_update(serving: ServingEngine, rng: random.Random) -> str:
+def random_update(serving: SnapshotReader, rng: random.Random) -> str:
     """One random document update through the serving writer path.
 
     Mirrors the differential oracle's update generator
@@ -105,8 +104,6 @@ class ReplayConfig:
     update_rounds: int = 0
     updates_per_round: int = 1
     update_seed: int = 0
-    #: Refine queued FUPs after each update round (the adaptive loop).
-    refine_between_rounds: bool = True
     #: Simulated per-query client I/O, slept in the worker's response
     #: hook (GIL released — this is what workers overlap).
     client_stall_s: float = 0.0
@@ -205,7 +202,7 @@ def _hash_answer_lines(queries: "Iterable[PathExpression | str]",
     return hasher.hexdigest()
 
 
-def answers_digest(serving: ServingEngine,
+def answers_digest(serving: SnapshotReader,
                    queries: "Iterable[PathExpression | str]") -> str:
     """SHA-256 over final ground-truth answers of the unique queries.
 
@@ -221,7 +218,7 @@ def answers_digest(serving: ServingEngine,
             header=f"epoch={snap.epoch}\n")
 
 
-def content_digest(engine_like: Any,
+def content_digest(engine_like: SnapshotReader,
                    queries: "Iterable[PathExpression | str]") -> str:
     """SHA-256 over final ground-truth answers, *without* the epoch line.
 
@@ -239,15 +236,15 @@ def content_digest(engine_like: Any,
             queries, lambda expr: sorted(snap.oracle(expr)))
 
 
-def run_replay(serving: ServingEngine,
+def run_replay(serving: SnapshotReader,
                queries: "Iterable[PathExpression | str]",
                config: ReplayConfig = ReplayConfig()) -> ReplayReport:
     """Replay a workload through the serving engine per ``config``.
 
     The full stream (``passes`` copies of the workload) is split into
     ``update_rounds + 1`` consecutive chunks; each boundary applies
-    ``updates_per_round`` random document updates and (optionally)
-    drains the FUP refinement queue.  Workers serve each chunk
+    ``updates_per_round`` random document updates and drains the FUP
+    refinement queue (the adaptive loop).  Workers serve each chunk
     concurrently; every answer is snapshot-isolated per the engine's
     protocol, so the report's conflict/degraded counts are bookkeeping,
     not correctness caveats.
@@ -277,8 +274,7 @@ def run_replay(serving: ServingEngine,
             for _ in range(config.updates_per_round):
                 report.update_log.append(random_update(serving, rng))
                 report.updates_applied += 1
-            if config.refine_between_rounds:
-                report.refinements += serving.refine_pending()
+            report.refinements += serving.refine_pending()
     report.duration_s = time.perf_counter() - started
 
     after = serving.stats.snapshot()

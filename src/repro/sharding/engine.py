@@ -8,8 +8,10 @@ family behind a :class:`~repro.serving.engine.ServingEngine`, so every
 shard keeps the full snapshot-isolation protocol it already had when it
 was the whole database.
 
-The combiner adds one more :class:`~repro.serving.snapshot.EpochClock`
-on top:
+The combiner is itself a
+:class:`~repro.serving.engine.SnapshotReader` — one more epoch clock on
+top, running the same read protocol as its shards — and supplies only
+the fan-out and the cross-edge routing:
 
 * **readers** fan a query to every shard under an optimistic combiner
   read and merge the per-shard answers with the compact data plane's
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
@@ -49,39 +51,11 @@ from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.indexes import maintenance as _maintenance
 from repro.indexes.maintenance import SubtreeSpec
 from repro.indexes.mstarindex import MStarIndex
-from repro.queries.evaluator import evaluate_on_data_graph
-from repro.queries.pathexpr import PathExpression, WILDCARD, as_expression
+from repro.queries.pathexpr import PathExpression, WILDCARD
 from repro.serving.engine import (_UNSET, ServedResult, ServingEngine,
-                                  ServingStats, _serve_batch)
-from repro.serving.snapshot import EpochClock
+                                  SnapshotReader)
 from repro.sharding.placement import (Placement, SPINE, compute_placement,
                                       shard_of_key, structural_key)
-
-
-class ShardedStats(ServingStats):
-    """Serving stats plus combiner-specific counters.
-
-    ``fallbacks`` counts queries answered on the exact global path
-    because their label sequence could match a cross-shard edge (these
-    are also counted under ``degraded``, matching the single-engine
-    convention that any locked-oracle answer is a degraded one).  The
-    fallback flag rides on the :class:`ServedResult` itself and lands
-    in the same lock acquisition as every other per-result counter, so
-    a concurrent :meth:`snapshot` can never observe ``fallbacks``
-    running ahead of ``degraded`` or ``queries``.
-    """
-
-    _FIELDS = ServingStats._FIELDS + ("fallbacks",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.fallbacks = 0
-
-    def record_result(self, result: ServedResult) -> None:
-        with self._lock:
-            super().record_result(result)
-            if result.fallback:
-                self.fallbacks += 1
 
 
 class _Shard:
@@ -126,52 +100,14 @@ def _build_local_graph(graph: DataGraph,
     return local.freeze(), g2l
 
 
-class _ShardedSnapshot:
-    """Pinned view of the combiner (see :meth:`ShardedEngine.pin`)."""
-
-    def __init__(self, engine: "ShardedEngine", epoch: int) -> None:
-        self._engine = engine
-        self.epoch = epoch
-
-    def oracle(self, expr: "PathExpression | str") -> set[int]:
-        """Ground truth at the pinned epoch (global mirror navigation)."""
-        return evaluate_on_data_graph(self._engine.graph,
-                                      as_expression(expr))
-
-    def query(self, expr: "PathExpression | str") -> set[int]:
-        """Fan the query out at the pinned epoch; returns global oids."""
-        expr = as_expression(expr)
-        if self._engine._crosses(expr):
-            return self.oracle(expr)
-        answers, _, _, _ = self._engine._fanout(expr)
-        return answers
-
-
-class _ShardedPin:
-    """Context manager backing :meth:`ShardedEngine.pin`."""
-
-    def __init__(self, engine: "ShardedEngine") -> None:
-        self._engine = engine
-        self._cm = None
-
-    def __enter__(self) -> _ShardedSnapshot:
-        self._cm = self._engine.clock.pause_writers()
-        epoch = self._cm.__enter__()
-        return _ShardedSnapshot(self._engine, epoch)
-
-    def __exit__(self, *exc: object) -> bool:
-        cm, self._cm = self._cm, None
-        return bool(cm.__exit__(*exc))
-
-
-class ShardedEngine:
+class ShardedEngine(SnapshotReader):
     """N shard serving engines behind one epoch-clocked combiner.
 
-    Duck-types the reader/writer surface of
+    Shares :class:`~repro.serving.engine.SnapshotReader` with
     :class:`~repro.serving.engine.ServingEngine` (``query``, ``serve``,
-    ``insert_subtree``, ``add_reference``, ``refine_pending``, ``pin``,
-    ``stats``, ``epoch``), so workload replay, the CLI, and the
-    benchmark run unchanged against it.
+    ``pin``, ``stats``, ``epoch`` are inherited; the writers are its
+    own), so workload replay, the CLI, and the benchmark run unchanged
+    against it.
 
     ``graph`` is the combiner's *global mirror*: the authoritative
     whole document, used for cross-shard fallback queries, pinned
@@ -179,25 +115,20 @@ class ShardedEngine:
     oids match what a single-shard engine would assign).
     """
 
+    _layer = "sharding"
+
     def __init__(self, graph: DataGraph, num_shards: int,
                  index_factory: "Callable[..., Any]" = MStarIndex, *,
                  cache: bool = True,
                  max_attempts: int = 6,
                  default_timeout: float | None = None,
-                 parallel_build: bool = True,
                  now: "Callable[[], float] | None" = None) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.graph = graph
+        super().__init__(graph, max_attempts=max_attempts,
+                         default_timeout=default_timeout, now=now)
         self.num_shards = num_shards
-        self.max_attempts = max_attempts
-        self.default_timeout = default_timeout
-        self._now = time.monotonic if now is None else now
         self.placement: Placement = compute_placement(graph, num_shards)
-        self.clock = EpochClock()
-        self.stats = ShardedStats()
         self.construction_s = 0.0
 
         started = time.perf_counter()
@@ -210,12 +141,14 @@ class ShardedEngine:
                                     cache=cache, max_attempts=max_attempts)
             return _Shard(shard_id, serving, list(members), g2l)
 
-        if parallel_build and num_shards > 1:
+        if num_shards > 1:
             with ThreadPoolExecutor(max_workers=num_shards) as pool:
                 self._shards = list(pool.map(build, range(num_shards)))
         else:
             self._shards = [build(s) for s in range(num_shards)]
         self.construction_s = time.perf_counter() - started
+        #: Shard 0's index (family introspection; shards are homogeneous).
+        self.index = self._shards[0].serving.index
 
         # Cross edges: every edge leaving a placement unit.  A query
         # instance can only span two shards by traversing one, so the
@@ -272,18 +205,8 @@ class ShardedEngine:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def epoch(self) -> int:
-        """Committed combiner writer operations (document updates)."""
-        return self.clock.epoch
-
-    @property
     def supports_updates(self) -> bool:
         return all(shard.serving.supports_updates for shard in self._shards)
-
-    @property
-    def index(self) -> Any:
-        """Shard 0's index (family introspection; shards are homogeneous)."""
-        return self._shards[0].serving.index
 
     @property
     def shards(self) -> list[_Shard]:
@@ -318,9 +241,13 @@ class ShardedEngine:
                     return True
         return False
 
-    def _fanout(self, expr: PathExpression, deadline: float | None = None,
-                ) -> "tuple[set[int], bool, bool, CostCounter]":
+    def _fanout(self, expr: PathExpression, deadline: float | None,
+                ) -> "tuple[set[int], bool, bool, CostCounter, None]":
         """Query every shard and union the answers in global-oid space.
+
+        The trailing ``None`` is the token slot of
+        :meth:`SnapshotReader._attempt`: shards cache, the combiner
+        does not.
 
         ``deadline`` bounds the *total* fan-out: every shard query gets
         the budget **remaining** at the moment it starts (a slow shard
@@ -352,80 +279,18 @@ class ShardedEngine:
                 merged = extent if merged is None else \
                     extent_union(merged, extent)
         answers = set() if merged is None else merged.to_set()
-        return answers, validated, cache_hit, cost
+        return answers, validated, cache_hit, cost, None
 
-    def query(self, expr: "PathExpression | str",
-              timeout: float | None = _UNSET) -> ServedResult:
-        """Answer one query with combiner-level snapshot isolation.
-
-        Non-crossing queries fan out to every shard under an optimistic
-        combiner read (retried on writer conflicts, exactly like a
-        single serving engine); crossing queries — and fan-outs that
-        exhaust their retries — are answered exactly on the global
-        mirror under the writer mutex.
-        """
-        expr = as_expression(expr)
-        timeout = self.default_timeout if timeout is _UNSET else timeout
-        started = self._now()
-        deadline = started + timeout if timeout is not None else None
-        result = self._query_inner(expr, deadline)
-        finished = self._now()
-        result.duration_s = finished - started
-        # Same single-place classification as ServingEngine.query: the
-        # combiner decides ``timed_out`` once the result is final.
-        result.timed_out = deadline is not None and finished >= deadline
-        self.stats.record_result(result)
-        return result
+    #: The combiner's optimistic evaluation is the fan-out.
+    _attempt = _fanout
 
     def _query_inner(self, expr: PathExpression,
                      deadline: float | None) -> ServedResult:
+        """Route crossing queries to the exact path on the global
+        mirror; everything else runs the shared retry loop."""
         if self._crosses(expr):
-            return self._global_query(expr, attempts=1, conflicts=0,
-                                      fallback=True)
-        conflicts = 0
-        attempts = 0
-        while attempts < self.max_attempts:
-            attempts += 1
-            clean, seq = self.clock.read()
-            if clean:
-                answers, validated, cache_hit, cost = self._fanout(
-                    expr, deadline)
-                if self.clock.validate(seq):
-                    return ServedResult(
-                        expr=expr, answers=answers, validated=validated,
-                        epoch=seq // 2, cost=cost, attempts=attempts,
-                        conflicts=conflicts, cache_hit=cache_hit)
-            conflicts += 1
-            if deadline is not None and self._now() >= deadline:
-                break
-            time.sleep(0 if conflicts < 2 else min(0.0002 * conflicts, 0.002))
-        return self._global_query(expr, attempts=attempts,
-                                  conflicts=conflicts)
-
-    def _global_query(self, expr: PathExpression, attempts: int,
-                      conflicts: int, fallback: bool = False) -> ServedResult:
-        with self.clock.pause_writers() as epoch:
-            cost = CostCounter()
-            answers = evaluate_on_data_graph(self.graph, expr, cost)
-        # ``timed_out`` is classified by ``query`` once the result is
-        # final; the exact path only marks *how* it was answered.
-        return ServedResult(expr=expr, answers=answers, validated=True,
-                            epoch=epoch, cost=cost, attempts=attempts,
-                            conflicts=conflicts, degraded=True,
-                            fallback=fallback)
-
-    def serve(self, queries: "Iterable[PathExpression | str]",
-              workers: int = 4, timeout: float | None = _UNSET,
-              client_io: "Callable[[ServedResult], None] | None" = None,
-              ) -> list[ServedResult]:
-        """Answer a batch on ``workers`` threads; results in input order.
-
-        Same contract as :meth:`ServingEngine.serve` — ``client_io``
-        runs on the worker thread, worker exceptions re-raise after the
-        batch drains.
-        """
-        return _serve_batch(self.query, queries, workers, timeout,
-                            client_io, "shard-combiner")
+            return self._exact(expr, attempts=1, conflicts=0, fallback=True)
+        return super()._query_inner(expr, deadline)
 
     # ------------------------------------------------------------------
     # Writer path
@@ -529,18 +394,6 @@ class ShardedEngine:
             for _ in range(count):
                 self.stats.record_refinement()
         return applied
-
-    # ------------------------------------------------------------------
-    # Pinned snapshots
-    # ------------------------------------------------------------------
-    def pin(self) -> _ShardedPin:
-        """Context manager yielding a pinned combiner snapshot.
-
-        Combiner writers queue behind the pin; shard writers only run
-        inside combiner write windows, so the whole fleet is quiescent
-        for the pin's holder.
-        """
-        return _ShardedPin(self)
 
     def __repr__(self) -> str:
         sizes = self.placement.shard_sizes()

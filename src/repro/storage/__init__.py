@@ -9,15 +9,14 @@ query processing."  This subpackage builds that structure:
   graphs (``.rpgr``);
 * :mod:`repro.storage.pager` — a page file (optionally mmap-backed,
   checksum-verified) plus an LRU buffer pool with pin counts, a
-  scan-resistant admission policy, eviction epochs, and read/hit
-  accounting;
+  scan-resistant admission policy, and read/hit accounting;
 * :mod:`repro.storage.segment` — the immutable paged segment format:
   sorted key runs + offset footer, bisect/readv lookup that touches
   only the pages a query needs;
 * :mod:`repro.storage.spill` — bounded-RAM spill-path construction
   (external runs under ``REPRO_STORAGE_BUDGET``, merged through
   ``Extent.from_sorted`` into segments) for A(k) and the M*(k)
-  resolution hierarchy, plus paged CSR adjacency;
+  resolution hierarchy;
 * :mod:`repro.storage.prefetch` — trace-driven background prefetch for
   sequential page runs;
 * :mod:`repro.storage.diskindex` — :class:`DiskMStarIndex`, a read-only
@@ -44,9 +43,7 @@ from repro.storage.serialization import load_graph, save_graph
 from repro.storage.spill import (
     BUDGET_ENV,
     OocBuildReport,
-    PagedAdjacency,
     SpillSorter,
-    build_adjacency_segment,
     build_ak_segment,
     build_hierarchy_segment,
     extents_digest,
@@ -61,14 +58,12 @@ __all__ = [
     "DiskMStarIndex",
     "OocBuildReport",
     "PageFile",
-    "PagedAdjacency",
     "Segment",
     "SegmentCorruption",
     "SegmentError",
     "SegmentFormatError",
     "SegmentWriter",
     "SpillSorter",
-    "build_adjacency_segment",
     "build_ak_segment",
     "build_hierarchy_segment",
     "extents_digest",

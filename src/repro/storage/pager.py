@@ -23,9 +23,6 @@ PR 9 extensions (the out-of-core data plane, see ``docs/storage.md``):
   on probation (next in eviction order) so a one-pass scan cannot wipe
   the hot set; a page re-admitted soon after eviction (tracked in a
   small ghost list) goes straight to the protected end.
-* **eviction epoch** — ``BufferPool.epoch`` advances once per eviction;
-  ``hold_epoch()`` blocks evictions for its duration, which is how
-  pinned serving snapshots hold their page epoch steady.
 * **prefetch accounting** — ``prefetch(key)`` loads a page without
   counting a demand miss; later demand hits on prefetched pages are
   counted separately so the background prefetcher's usefulness is
@@ -224,10 +221,6 @@ class BufferPool:
         self.evictions = 0
         #: Times capacity was overshot because every page was pinned.
         self.pin_overflows = 0
-        #: Advances once per eviction; constant while an epoch hold or a
-        #: pin keeps the resident set stable.
-        self.epoch = 0
-        self._evict_blocked = 0
         self._miss_listener = None
         self._lock = threading.Lock()
 
@@ -249,8 +242,6 @@ class BufferPool:
         self._evict_for_space()
 
     def _evict_for_space(self) -> None:
-        if self._evict_blocked:
-            return
         while len(self._cached) > self.capacity:
             victim = None
             for key in self._cached:
@@ -268,7 +259,6 @@ class BufferPool:
             while len(self._ghosts) > self.GHOST_FACTOR * self.capacity:
                 self._ghosts.popitem(last=False)
             self.evictions += 1
-            self.epoch += 1
             _M_EVICTIONS.inc()
 
     def _page_locked(self, key: tuple[int, int]) -> Any:
@@ -347,28 +337,6 @@ class BufferPool:
         with self._lock:
             return len(self._pins)
 
-    @contextmanager
-    def hold_epoch(self) -> Iterator[int]:
-        """Block evictions for the duration; yields the held epoch.
-
-        While any hold is open the resident set only grows, so every
-        page read under the hold stays resident and :attr:`epoch` does
-        not advance — this is what a pinned serving snapshot wraps
-        around its reads (see ``ServingEngine.attach_page_pool``).  On
-        release the pool trims back to capacity (one epoch step per
-        page dropped).
-        """
-        with self._lock:
-            self._evict_blocked += 1
-            held = self.epoch
-        try:
-            yield held
-        finally:
-            with self._lock:
-                self._evict_blocked -= 1
-                if self._evict_blocked == 0:
-                    self._evict_for_space()
-
     def prefetch(self, key: tuple[int, int]) -> bool:
         """Load ``key`` into the pool without counting a demand miss.
 
@@ -430,4 +398,4 @@ class BufferPool:
             return (f"BufferPool(capacity={self.capacity}, "
                     f"cached={len(self._cached)}, reads={self.reads}, "
                     f"hits={self.hits}, misses={self.misses}, "
-                    f"pinned={len(self._pins)}, epoch={self.epoch})")
+                    f"pinned={len(self._pins)}, evictions={self.evictions})")

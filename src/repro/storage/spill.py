@@ -40,7 +40,6 @@ from repro.storage.segment import SegmentWriter
 
 if TYPE_CHECKING:
     from repro.graph.datagraph import DataGraph
-    from repro.storage.segment import Segment
 
 #: Environment knob: spill budget in bytes for the construction path.
 BUDGET_ENV = "REPRO_STORAGE_BUDGET"
@@ -447,75 +446,3 @@ def inram_hierarchy_digest(graph: "DataGraph", k: int) -> str:
                 yield level * stride + dense_of[block], extents[block]
 
     return extents_digest(groups())
-
-
-# ----------------------------------------------------------------------
-# CSR adjacency spilled to a segment (graph/compact.py's page feed)
-# ----------------------------------------------------------------------
-def build_adjacency_segment(graph: "DataGraph", path: str, *,
-                            page_size: int = DEFAULT_PAGE_SIZE,
-                            opener: "Callable[..., IO[bytes]]" = open,
-                            ) -> OocBuildReport:
-    """Write the frozen CSR adjacency as a segment: key=oid, value=row.
-
-    Row payloads come from ``CompactAdjacency.row_bytes`` (pinned
-    little-endian), so a validation walk over a graph too big for RAM
-    can page in exactly the rows it touches (``PagedAdjacency``).
-    """
-    from repro.graph.compact import CompactAdjacency
-
-    started = time.perf_counter()
-    adjacency = graph.child_rows()
-    if not isinstance(adjacency, CompactAdjacency):
-        raise ValueError("adjacency segments need a frozen graph "
-                         "(call graph.freeze() first)")
-    report = OocBuildReport(path=path, kind="csr-adjacency")
-    writer = SegmentWriter(path, page_size=page_size,
-                           meta={"kind": "csr-adjacency",
-                                 "num_nodes": graph.num_nodes,
-                                 "root": graph.root},
-                           opener=opener)
-    try:
-        for oid in range(graph.num_nodes):
-            payload = adjacency.row_bytes(oid)
-            writer.add(oid, payload)
-            report.payload_bytes += len(payload)
-        writer.finish()
-    except BaseException:
-        writer.abort()
-        raise
-    report.records = writer.records
-    report.seconds = time.perf_counter() - started
-    return report
-
-
-class PagedAdjacency:
-    """Child rows served from an adjacency segment, one page at a time.
-
-    Quacks like ``graph.child_rows()`` for row access: ``rows[oid]``
-    returns the row as a ``list[int]``, touching only the segment page
-    that holds it.  Physical I/O shows up in ``segment.pool``.
-    """
-
-    def __init__(self, segment: "Segment") -> None:
-        if segment.meta.get("kind") != "csr-adjacency":
-            raise ValueError(
-                f"{segment.path} is not an adjacency segment "
-                f"(kind={segment.meta.get('kind')!r})")
-        self.segment = segment
-        self.num_nodes = int(segment.meta["num_nodes"])
-
-    def __len__(self) -> int:
-        return self.num_nodes
-
-    def __getitem__(self, oid: int) -> list[int]:
-        if oid < 0 or oid >= self.num_nodes:
-            raise IndexError(oid)
-        payload = self.segment.get(oid)
-        if payload is None:
-            raise ValueError(
-                f"adjacency segment {self.segment.path} has no row for "
-                f"oid {oid}")
-        from repro.graph.compact import row_from_bytes
-
-        return row_from_bytes(payload)

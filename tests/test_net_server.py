@@ -94,6 +94,9 @@ class TestRpcSurface:
         assert stats["engine"]["queries"] >= 1
         assert stats["engine"]["queries"] == \
             stats["engine"]["cache_hits"] + stats["engine"]["misses"]
+        # One stats type on the wire: a plain ServingEngine reports the
+        # combiner's counter too, pinned at zero.
+        assert stats["engine"]["fallbacks"] == 0
         assert stats["server"]["connections"] >= 1
         assert stats["server"]["requests"] >= 1
         assert "queued" in stats["server"]

@@ -9,6 +9,7 @@ import pytest
 
 from tests.conftest import random_graph
 from repro.core.engine import AdaptiveIndexEngine
+from repro.core.fup import FupExtractor
 from repro.indexes.mstarindex import MStarIndex
 from repro.indexes.oneindex import OneIndex
 from repro.obs import metrics as _metrics
@@ -312,6 +313,27 @@ class TestWriterPath:
         assert applied == 1
         assert serving.pending_fups() == []
         assert serving.epoch == 1
+        assert serving.query(expr).answers == {4, 5}
+
+    def test_refine_pending_counts_refinements_not_replays(
+            self, simple_tree):
+        """A replay the wrapped engine declines to refine (its own
+        extractor wants three sightings) commits an epoch but is not a
+        refinement: not in the return value, not in the stats."""
+        engine = AdaptiveIndexEngine(simple_tree,
+                                     extractor=FupExtractor(threshold=3))
+        serving = ServingEngine(engine)
+        expr = as_expression("//a/c")
+        applied = []
+        for _ in range(3):
+            serving.query(expr)  # validated + frequent here -> queued
+            assert serving.pending_fups() == [expr]
+            applied.append(serving.refine_pending())
+            assert serving.pending_fups() == []
+            assert serving.stats.snapshot()["refinements"] \
+                == engine.stats.refinements == sum(applied)
+        assert applied == [0, 0, 1]  # third replay is the third sighting
+        assert serving.epoch == 3   # every replay still committed
         assert serving.query(expr).answers == {4, 5}
 
     def test_pin_blocks_writers_and_preserves_pre_update_view(

@@ -1,6 +1,7 @@
 """Tests for the sharded index service (repro.sharding)."""
 
 import random
+import threading
 
 import pytest
 
@@ -199,6 +200,88 @@ class TestShardedAnswers:
         spec = ("extra", [("leaf", []), ("leaf", [])])
         assert single.insert_subtree(2, spec) \
             == sharded.insert_subtree(2, spec)
+
+
+class TestTornFanout:
+    def test_commit_under_a_parked_fanout_is_a_conflict_not_an_error(self):
+        """A fan-out that observes a shard's commit before the combiner
+        finished mapping it (``to_global`` one short) is a torn read:
+        the shared retry loop must count a conflict and answer from the
+        next clean epoch, not leak the ``IndexError`` to the caller."""
+        graph = generate_xmark(scale=0.01, seed=1).freeze()
+        engine = ShardedEngine(graph, num_shards=4)
+        expr = PathExpression.parse("//africa/zzznew")
+        assert not engine._crosses(expr)
+        parent = next(oid for oid in range(graph.num_nodes)
+                      if graph.label(oid) == "africa")
+
+        reader_parked = threading.Event()
+        shard_committed = threading.Event()
+        release_writer = threading.Event()
+
+        first_shard = engine.shards[0].serving
+        shard_query = first_shard.query
+
+        def parked_query(*args, **kwargs):
+            # First fan-out only: hold the reader inside its clean read
+            # window until the owning shard has committed the insert.
+            if not reader_parked.is_set():
+                reader_parked.set()
+                assert shard_committed.wait(timeout=10.0)
+            return shard_query(*args, **kwargs)
+
+        first_shard.query = parked_query
+
+        def park_after_commit(shard_insert):
+            def insert(*args, **kwargs):
+                new_lids = shard_insert(*args, **kwargs)
+                # Committed on the shard, not yet in ``to_global``.
+                shard_committed.set()
+                assert release_writer.wait(timeout=10.0)
+                return new_lids
+            return insert
+
+        for shard in engine.shards:
+            shard.serving.insert_subtree = \
+                park_after_commit(shard.serving.insert_subtree)
+
+        new_gids: list[int] = []
+
+        def writer():
+            assert reader_parked.wait(timeout=10.0)
+            new_gids.extend(engine.insert_subtree(parent, ("zzznew", [])))
+
+        thread = threading.Thread(target=writer)
+        clock_read = engine.clock.read
+        reads = 0
+
+        def read():
+            # The reader's second attempt begins: its first is over, so
+            # let the writer finish (the exact path would otherwise wait
+            # on the writer's mutex forever).
+            nonlocal reads
+            reads += 1
+            if reads == 2:
+                release_writer.set()
+                thread.join(timeout=10.0)
+            return clock_read()
+
+        engine.clock.read = read
+        thread.start()
+        try:
+            result = engine.query(expr)
+        finally:
+            release_writer.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+        assert result.conflicts >= 1
+        assert not result.degraded
+        assert result.answers == set(new_gids) and new_gids
+        with engine.pin() as snap:
+            assert snap.epoch == result.epoch == 1
+            assert result.answers == snap.oracle(expr)
+        assert engine.stats.snapshot()["conflicts"] == result.conflicts
 
 
 class TestFuzzedGraphs:

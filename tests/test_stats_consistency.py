@@ -1,9 +1,9 @@
 """Stats-aggregation consistency under concurrency (the PR 8 fix).
 
 Mirrors ``tests/test_engine_stats_threadsafe.py`` one layer up: the
-serving layer's :class:`ServingStats` (and the sharded subclass's extra
-``fallbacks`` counter) must move every counter derived from one result
-inside a single lock acquisition, so a concurrent :meth:`snapshot` can
+one :class:`ServingStats` type both engines share (including the
+``fallbacks`` counter only the sharded combiner drives) must move every
+counter derived from one result inside a single lock acquisition, so a concurrent :meth:`snapshot` can
 never observe a state where ``queries != cache_hits + misses`` or a
 per-result flag count running ahead of the query count.  The hammer
 tests drive writers and snapshot readers concurrently and assert the
@@ -16,7 +16,6 @@ import threading
 
 from repro.queries.pathexpr import as_expression
 from repro.serving.engine import ServedResult, ServingEngine, ServingStats
-from repro.sharding.engine import ShardedStats
 
 EXPR = as_expression("//a/c")
 
@@ -34,9 +33,8 @@ def check_invariants(snapshot: dict) -> None:
         snapshot["cache_hits"] + snapshot["misses"], snapshot
     assert 0 <= snapshot["degraded"] <= snapshot["queries"], snapshot
     assert 0 <= snapshot["timeouts"] <= snapshot["queries"], snapshot
-    if "fallbacks" in snapshot:
-        # Every fallback answer is a degraded one, never the reverse.
-        assert snapshot["fallbacks"] <= snapshot["degraded"], snapshot
+    # Every fallback answer is a degraded one, never the reverse.
+    assert 0 <= snapshot["fallbacks"] <= snapshot["degraded"], snapshot
 
 
 def hammer(stats: ServingStats, make_results, *, writers=4,
@@ -95,7 +93,8 @@ class TestServingStatsConsistency:
         check_invariants(snapshot)
         assert snapshot == {"queries": 1, "cache_hits": 1, "misses": 0,
                             "conflicts": 2, "degraded": 1, "timeouts": 1,
-                            "updates": 0, "refinements": 0}
+                            "updates": 0, "refinements": 0,
+                            "fallbacks": 0}
 
     def test_miss_is_the_complement_of_cache_hit(self):
         stats = ServingStats()
@@ -131,8 +130,10 @@ class TestServingStatsConsistency:
 
 
 class TestShardedStatsConsistency:
+    """The combiner's ``fallbacks`` counter lives on the shared type."""
+
     def test_fallback_lands_in_the_same_atomic_step(self):
-        stats = ShardedStats()
+        stats = ServingStats()
         stats.record_result(result(degraded=True, fallback=True))
         snapshot = stats.snapshot()
         check_invariants(snapshot)
@@ -141,11 +142,10 @@ class TestShardedStatsConsistency:
         assert snapshot["queries"] == 1
 
     def test_snapshot_includes_the_extra_field(self):
-        assert "fallbacks" in ShardedStats().snapshot()
-        assert "fallbacks" not in ServingStats().snapshot()
+        assert "fallbacks" in ServingStats().snapshot()
 
     def test_hammer_fallbacks_never_outrun_degraded(self):
-        stats = ShardedStats()
+        stats = ServingStats()
         hammer(stats, mixed_results)
         final = stats.snapshot()
         check_invariants(final)
@@ -161,6 +161,7 @@ class TestEndToEndThroughTheEngine:
         snapshot = serving.stats.snapshot()
         check_invariants(snapshot)
         assert snapshot["queries"] == len(results) == 40
+        assert snapshot["fallbacks"] == 0  # a single engine never routes
 
     def test_concurrent_queries_and_updates_stay_consistent(
             self, simple_tree):

@@ -10,9 +10,8 @@ Four contracts from the PR 9 data plane:
   `SegmentAkIndex` answers byte-identically to `AkIndex` with extents
   paged in on demand;
 * **pins beat eviction** — a pinned page survives any cache pressure
-  (including a concurrent pin/evict hammer), scan admission protects
-  the hot set, and `hold_epoch` freezes the resident set for pinned
-  serving snapshots (`ServingEngine.attach_page_pool`);
+  (including a concurrent pin/evict hammer) and scan admission protects
+  the hot set;
 * **prefetch is measurable** — sequential miss runs schedule background
   loads that later demand reads hit, counted separately from demand
   misses.
@@ -26,18 +25,15 @@ import pytest
 
 from repro.indexes.aindex import AkIndex
 from repro.queries.workload import Workload
-from repro.serving.engine import ServingEngine
 from repro.storage.pager import BufferPool
 from repro.storage.prefetch import BackgroundPrefetcher
 from repro.storage.segment import Segment, SegmentWriter
 from repro.storage.spill import (
     SpillSorter,
-    build_adjacency_segment,
     build_ak_segment,
     build_hierarchy_segment,
     inram_ak_digest,
     inram_hierarchy_digest,
-    PagedAdjacency,
 )
 from repro.indexes.segmented import SegmentAkIndex
 
@@ -138,41 +134,11 @@ class TestSpillBuilders:
                 validated += bool(result.validated)
         assert validated > 0  # the imprecise path actually ran
 
-    def test_wrong_kind_rejected(self, tmp_path):
-        # A private graph: freeze() mutates in place, so the shared
-        # session fixtures must stay unfrozen.
-        from repro.datasets.xmark import generate_xmark
-
-        frozen = generate_xmark(scale=0.01, seed=7).freeze()
-        path = str(tmp_path / "adj.seg")
-        build_adjacency_segment(frozen, path)
+    def test_wrong_kind_rejected(self, small_xmark, tmp_path):
+        path = str(tmp_path / "hierarchy.seg")
+        build_hierarchy_segment(small_xmark, 2, path, budget_bytes=4096)
         with pytest.raises(ValueError, match="not an A\\(k\\)"):
-            SegmentAkIndex(path, frozen)
-
-
-class TestPagedAdjacency:
-    def test_rows_match_frozen_graph(self, tmp_path):
-        from repro.datasets.xmark import generate_xmark
-
-        frozen = generate_xmark(scale=0.01, seed=7).freeze()
-        path = str(tmp_path / "adj.seg")
-        report = build_adjacency_segment(frozen, path)
-        assert report.records == frozen.num_nodes
-        rows = frozen.child_rows()
-        with Segment(path, buffer_pages=4, use_mmap=False) as segment:
-            paged = PagedAdjacency(segment)
-            assert len(paged) == frozen.num_nodes
-            for oid in range(frozen.num_nodes):
-                assert paged[oid] == list(rows[oid])
-            with pytest.raises(IndexError):
-                paged[frozen.num_nodes]
-
-    def test_unfrozen_graph_rejected(self, tmp_path):
-        from repro.datasets.xmark import generate_xmark
-
-        mutable = generate_xmark(scale=0.01, seed=7)
-        with pytest.raises(ValueError, match="frozen graph"):
-            build_adjacency_segment(mutable, str(tmp_path / "adj.seg"))
+            SegmentAkIndex(path, small_xmark)
 
 
 class TestPinning:
@@ -293,35 +259,6 @@ class TestScanAdmission:
         with make_segment(str(tmp_path / "s.seg")) as segment:
             with pytest.raises(ValueError, match="admission"):
                 BufferPool(segment._file, 2, admission="mystery")
-
-
-class TestHoldEpoch:
-    def test_hold_blocks_evictions_then_trims(self, tmp_path):
-        with make_segment(str(tmp_path / "s.seg"),
-                          num_keys=256) as segment:
-            pool = BufferPool(segment._file, 1)
-            with pool.hold_epoch() as held:
-                for number in range(5):
-                    pool.page((0, number))
-                assert pool.epoch == held  # no eviction advanced it
-                assert pool.cached_pages() == 5
-            assert pool.cached_pages() <= 1
-            assert pool.epoch > held
-
-    def test_serving_pin_holds_page_epoch(self, small_xmark, tmp_path):
-        with make_segment(str(tmp_path / "s.seg"),
-                          num_keys=256) as segment:
-            pool = BufferPool(segment._file, 1)
-            serving = ServingEngine(small_xmark)
-            serving.attach_page_pool(pool)
-            with serving.pin() as snapshot:
-                assert snapshot.page_epochs == (pool.epoch,)
-                for number in range(6):
-                    pool.page((0, number))
-                # Everything read under the pin stays resident.
-                assert pool.cached_pages() == 6
-                assert pool.epoch == snapshot.page_epochs[0]
-            assert pool.cached_pages() <= 1
 
 
 class TestBackgroundPrefetch:
