@@ -16,22 +16,19 @@ under reproduction evaluates it in two flavours, both implemented here:
   promotes *all* parents (over-refining irrelevant data nodes) and splits
   using whatever similarity the parents happen to have (over-refining under
   overqualified parents).  Reproducing these flaws faithfully is the point:
-  Figures 10-26 quantify them against M(k)/M*(k).
+  Figures 10-26 quantify them against M(k)/M*(k).  The procedure itself is
+  the shared kernel of :mod:`repro.indexes.refine` run with "all data is
+  relevant" and no target set; this file keeps construction and querying.
 """
 
 from __future__ import annotations
 
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
-from repro.graph.paths import succ_set
-from repro.indexes.base import IndexGraph, IndexNode, QueryResult
+from repro.indexes.base import IndexGraph, QueryResult
 from repro.indexes.partition import kbisimulation_levels, label_blocks
-from repro.obs import trace as _trace
+from repro.indexes.refine import flat_family, refine_fup
 from repro.queries.pathexpr import WILDCARD, PathExpression
-
-#: Hard stop for the promote-until-supported loop; a correct run needs far
-#: fewer iterations, so hitting this indicates a bug rather than slow data.
-_MAX_PROMOTE_ROUNDS = 10_000
 
 
 # D(k)-construct preprocessing: one edges() sweep to build the label
@@ -140,86 +137,8 @@ class DkIndex:
         meters the refinement work (evaluations plus mutation work via
         the index graph's work sink).
         """
-        if expr.has_wildcard:
-            raise ValueError("FUPs must be simple label paths (no wildcards)")
-        if expr.has_descendant_steps:
-            raise ValueError("FUPs must use the child axis only "
-                             "(descendant-axis instances have unbounded "
-                             "length; no finite k can support them)")
-        required = expr.length + (1 if expr.rooted else 0)
-        cost = counter if counter is not None else CostCounter()
-        tracer = _trace.TRACER
-        span = tracer.span("dk.refine", query=str(expr),
-                           required=required) if tracer.enabled \
-            else _trace.NULL_SPAN
-        with span:
-            outer_sink = self.index.work_sink
-            self.index.work_sink = cost
-            try:
-                for _ in range(_MAX_PROMOTE_ROUNDS):
-                    violating = [node
-                                 for node in self.index.evaluate(expr, cost)
-                                 if node.k < required]
-                    if not violating:
-                        return
-                    node = violating[0]
-                    self._promote(set(node.extent), required)
-                raise RuntimeError(f"PROMOTE failed to converge for {expr}")
-            finally:
-                self.index.work_sink = outer_sink
-
-    def _promote(self, extent: set[int], kv: int) -> None:
-        """The paper's ``PROMOTE(v, kv, IG)``.
-
-        The node is tracked by extent: recursive promotion of parents can
-        split the node itself (when it is its own ancestor), in which case
-        each surviving piece is promoted.
-        """
-        if kv <= 0:
-            return
-        node_of = self.index.node_of
-        # Worklist over the snapshot extent: promoting parents can split
-        # pieces resolved earlier (the node may be its own ancestor), so
-        # each piece is re-resolved through a live data node.
-        pending = set(extent)
-        while pending:
-            piece = self.index.nodes[node_of[min(pending)]]
-            pending.difference_update(piece.extent)
-            if piece.k >= kv:
-                continue
-            # Lines 3-4: recursively promote *all* parents (this is where
-            # irrelevant data nodes get dragged in).
-            parent_extents = [set(self.index.nodes[parent].extent)
-                              for parent in sorted(self.index.parents_of(piece.nid))]
-            for parent_extent in parent_extents:
-                self._promote(parent_extent, kv - 1)
-            # Lines 5-6: split each (surviving piece of the) node by the
-            # Succ sets of its current parents.
-            sub_pending = set(piece.extent)
-            while sub_pending:
-                sub_piece = self.index.nodes[node_of[min(sub_pending)]]
-                sub_pending.difference_update(sub_piece.extent)
-                if sub_piece.k >= kv:
-                    continue
-                self._split_by_parents(sub_piece, kv)
-
-
-    def _split_by_parents(self, node: IndexNode, kv: int) -> list[int]:
-        """Partition ``node`` by every parent's ``Succ`` set; assign ``kv``."""
-        parts: list[set[int]] = [set(node.extent)]
-        for parent in sorted(self.index.parents_of(node.nid)):
-            succ = succ_set(self.graph, self.index.nodes[parent].extent)
-            refined: list[set[int]] = []
-            for part in parts:
-                inside = part & succ
-                outside = part - succ
-                if inside:
-                    refined.append(inside)
-                if outside:
-                    refined.append(outside)
-            parts = refined
-        return self.index.replace_node(node.nid,
-                                       [(part, kv) for part in parts])
+        refine_fup(flat_family("dk", self.index, target_aware=False),
+                   expr, result, counter)
 
     # ------------------------------------------------------------------
     # Size metrics

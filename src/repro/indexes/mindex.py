@@ -19,35 +19,24 @@ Refinement can occasionally create a brand-new false instance of the FUP
 ``PROMOTE'``, a promote variant that long-jumps out as soon as no false
 instance remains.
 
-One deliberate deviation from the published pseudocode, found by the
-differential oracle (:mod:`repro.verify`): the split inside
-``REFINENODE`` partitions by *every* parent of the node, not only the
-qualified ones, before merging the irrelevant pieces back into the
-remainder.  The qualified-only split stamps ``k`` on pieces that still
-mix data nodes distinguishable through an unqualified parent, and any
-*later* query of length <= k trusts that claim without validation —
-returning false positives the FUP-specific false-instance breaking
-never looks at.  See :meth:`MkIndex._split_and_merge` and
-``docs/verification.md``.
+``REFINE`` / ``REFINENODE`` / ``PROMOTE'`` are the shared kernel of
+:mod:`repro.indexes.refine` run over this one index graph (parents and
+splits in the same graph); its docstring states the deliberate
+deviations from the published pseudocode — above all that the split
+inside ``REFINENODE`` partitions by *every* parent of the node, not only
+the qualified ones, which the differential oracle (:mod:`repro.verify`,
+``docs/verification.md``) showed to be needed for soundness.  This file
+keeps construction and querying.
 """
 
 from __future__ import annotations
 
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
-from repro.graph.paths import pred_set, succ_set
-from repro.indexes.base import IndexGraph, IndexNode, QueryResult
+from repro.indexes.base import IndexGraph, QueryResult
 from repro.indexes.partition import label_blocks
-from repro.obs import trace as _trace
-from repro.queries.evaluator import evaluate_on_data_graph
+from repro.indexes.refine import flat_family, refine_fup
 from repro.queries.pathexpr import PathExpression
-
-#: Hard stop for the break-false-instances loop (safety net, not tuning).
-_MAX_REFINE_ROUNDS = 10_000
-
-
-class _FalseInstancesGone(Exception):
-    """Long jump out of ``PROMOTE'`` once no false instance remains."""
 
 
 class MkIndex:
@@ -108,255 +97,9 @@ class MkIndex:
         internal evaluations plus the mutation work routed through the
         index graph's work sink.
         """
-        if expr.has_wildcard:
-            raise ValueError("FUPs must be simple label paths (no wildcards)")
-        if expr.has_descendant_steps:
-            raise ValueError("FUPs must use the child axis only "
-                             "(descendant-axis instances have unbounded "
-                             "length; no finite k can support them)")
-        cost = counter if counter is not None else CostCounter()
-        tracer = _trace.TRACER
-        span = tracer.span("mk.refine", query=str(expr)) if tracer.enabled \
-            else _trace.NULL_SPAN
-        with span:
-            outer_sink = self.index.work_sink
-            self.index.work_sink = cost
-            try:
-                self._refine_metered(expr, result, cost)
-            finally:
-                self.index.work_sink = outer_sink
-
-    def _refine_metered(self, expr: PathExpression,
-                        result: QueryResult | None,
-                        cost: CostCounter) -> None:
-        required = expr.length + (1 if expr.rooted else 0)
-        target_data = (set(result.answers) if result is not None
-                       else evaluate_on_data_graph(self.graph, expr, cost))
-
-        # Lines 1-2 of REFINE: refine each index node in the target set,
-        # passing only its relevant data nodes.  Re-evaluating after each
-        # node keeps the loop correct when refining one target node splits
-        # another (possible on cyclic data).
-        for _ in range(_MAX_REFINE_ROUNDS):
-            pending = [node for node in self.index.evaluate(expr, cost)
-                       if node.k < required and node.extent & target_data]
-            if not pending:
-                break
-            node = pending[0]
-            self._refine_node(set(node.extent.members()), required,
-                              node.extent & target_data)
-        else:
-            raise RuntimeError(f"REFINENODE failed to converge for {expr}")
-
-        # Lines 3-4 of REFINE: break any instance of the FUP that leads to
-        # false positives (Figure 6).  The published pseudocode's condition
-        # — a target with ``v.k < length(l)`` — is only a proxy: the
-        # qualified-parent split can also *overstate* ``v.k``, leaving a
-        # precise-looking target whose extent strays outside the FUP's
-        # true target set.  We implement the paper's textual condition
-        # ("an instance of l that leads to false positives") directly:
-        # under-refined targets are broken with PROMOTE' as published,
-        # and overstated targets are split along the true-target boundary.
-        truth = (target_data if result is None
-                 else evaluate_on_data_graph(self.graph, expr, cost))
-
-        # Phase 1 (the published loop, a cost optimisation): promote
-        # under-refined targets so future runs of the FUP skip validation.
-        # Promotion can stall when its splits separate nothing (unsound
-        # parent claims inherited from earlier refinement); stalled targets
-        # are left to validation.
-        for _ in range(_MAX_REFINE_ROUNDS):
-            under = [node for node in self.index.evaluate(expr, cost)
-                     if node.k < required]
-            if not under:
-                break
-            before = self.index.mutations
-            try:
-                self._promote_break(set(under[0].extent.members()), required,
-                                    expr, required)
-            except _FalseInstancesGone:
-                break
-            if self.index.mutations == before:
-                break  # no progress possible; validation keeps us correct
-        else:
-            raise RuntimeError(f"REFINE failed to converge for {expr}")
-
-        # Phase 2 (correctness): split overstated targets along the
-        # true-target boundary.  Each break removes one overstated target
-        # and creates none, so the loop strictly decreases.
-        for _ in range(_MAX_REFINE_ROUNDS):
-            over = [node for node in self.index.evaluate(expr, cost)
-                    if node.k >= required and not node.extent <= truth]
-            if not over:
-                return
-            self._break_overstated(over[0], required, truth)
-        raise RuntimeError(f"REFINE failed to converge for {expr}")
-
-    def _break_overstated(self, node: IndexNode, required: int,
-                          truth: set[int]) -> None:
-        """Split an overstated target along the true-target boundary.
-
-        The true part keeps the claimed similarity (its members all carry
-        the FUP); the impostor part drops below ``required`` so every
-        future query of this length validates it.
-        """
-        true_part = node.extent & truth
-        false_part = node.extent - truth
-        parts: list[tuple[set[int], int]] = []
-        if true_part:
-            parts.append((true_part, node.k))
-        if false_part:
-            parts.append((false_part, max(0, min(node.k, required - 1))))
-        self.index.replace_node(node.nid, parts)
-
-    # -- REFINENODE -----------------------------------------------------
-    def _refine_node(self, extent: set[int], k: int,
-                     relevant_data: set[int]) -> None:
-        """``REFINENODE(v, k, relevantData)``.
-
-        The node is tracked by extent because refining ancestors can split
-        the node itself when the graph is cyclic; each surviving piece
-        holding relevant data is then processed.
-        """
-        if k <= 0:
-            return
-        node_of = self.index.node_of
-        # Worklist over the snapshot extent: recursive refinement can split
-        # pieces resolved earlier (cyclic data), so each piece is
-        # re-resolved through a live data node just before processing.
-        pending = set(extent)
-        while pending:
-            piece = self.index.nodes[node_of[min(pending)]]
-            pending.difference_update(piece.extent.members())
-            piece_relevant = relevant_data & piece.extent
-            if not piece_relevant or piece.k >= k:
-                continue
-            relevant_parents = pred_set(self.graph, piece_relevant)
-            # Lines 4-7: refine only parents that contain parents of
-            # relevant data nodes.
-            parent_extents = [set(self.index.nodes[parent].extent.members())
-                              for parent in sorted(self.index.parents_of(piece.nid))]
-            for parent_extent in parent_extents:
-                pred_data = relevant_parents & parent_extent
-                if pred_data:
-                    self._refine_node(parent_extent, k - 1, pred_data)
-            # Lines 9-26: split the (current pieces of the) node by the
-            # qualified parents and merge irrelevant splits back together.
-            sub_pending = set(piece.extent.members())
-            while sub_pending:
-                sub_piece = self.index.nodes[node_of[min(sub_pending)]]
-                sub_pending.difference_update(sub_piece.extent.members())
-                sub_relevant = relevant_data & sub_piece.extent
-                if not sub_relevant or sub_piece.k >= k:
-                    continue
-                self._split_and_merge(sub_piece, k, sub_relevant)
-
-    def _split_and_merge(self, node: IndexNode, k: int,
-                         relevant_data: set[int]) -> list[int]:
-        """Lines 9-26 of ``REFINENODE``: full split + remainder merge.
-
-        The published pseudocode splits only by *qualified* parents (those
-        containing parents of relevant data).  That leaves the relevant
-        pieces mixed with data nodes that differ with respect to an
-        unqualified parent — yet stamps them ``k``, a claim any later
-        query of length <= k will trust without validation, returning
-        false positives.  We split by every parent instead: a piece
-        holding relevant data is reached only by qualified parent nodes
-        (any parent node reaching it contains a parent of its relevant
-        member, which by definition lies in ``relevant_parents``), and
-        those were just recursively refined to ``k - 1``, so the ``k``
-        claim on relevant pieces becomes sound.  Pieces without relevant
-        data still merge into a single remainder keeping the old
-        similarity value, so neither of M(k)'s two over-refinement
-        avoidances is lost.
-        """
-        k_old = node.k
-        parts: list[set[int]] = [set(node.extent.members())]
-        for parent in sorted(self.index.parents_of(node.nid)):
-            parent_node = self.index.nodes[parent]
-            succ = succ_set(self.graph, parent_node.extent)
-            refined: list[set[int]] = []
-            for part in parts:
-                inside = part & succ
-                outside = part - succ
-                if inside:
-                    refined.append(inside)
-                if outside:
-                    refined.append(outside)
-            parts = refined
-        if not self.merge_remainder:
-            # Ablation: keep every piece separate.  Irrelevant pieces
-            # still keep the old similarity — their parents were never
-            # refined, so claiming ``k`` for them would be unsound (and
-            # the claim value does not affect the size metrics the
-            # ablation measures).
-            return self.index.replace_node(
-                node.nid,
-                [(part, k if part & relevant_data else k_old)
-                 for part in parts])
-        # Merge the pieces that contain no relevant data into one remainder
-        # that keeps the old similarity value.
-        relevant_parts = [part for part in parts if part & relevant_data]
-        remainder: set[int] = set()
-        for part in parts:
-            if not (part & relevant_data):
-                remainder |= part
-        replacement = [(part, k) for part in relevant_parts]
-        if remainder:
-            replacement.append((remainder, k_old))
-        return self.index.replace_node(node.nid, replacement)
-
-    # -- PROMOTE' ---------------------------------------------------------
-    def _promote_break(self, extent: set[int], kv: int,
-                       expr: PathExpression, required: int) -> None:
-        """``PROMOTE'``: full promotion with an early long jump.
-
-        Identical to the D(k)-index ``PROMOTE`` (split by *every* parent,
-        promote all data nodes) except that after each node is fully split
-        we re-check for false instances of the FUP and bail out as soon as
-        none remain.  The check runs after a node's split completes — not
-        between individual parent splits — so every assigned ``k`` is
-        backed by a full split.
-        """
-        if kv <= 0:
-            return
-        node_of = self.index.node_of
-        pending = set(extent)
-        while pending:
-            piece = self.index.nodes[node_of[min(pending)]]
-            pending.difference_update(piece.extent.members())
-            if piece.k >= kv:
-                continue
-            parent_extents = [set(self.index.nodes[parent].extent.members())
-                              for parent in sorted(self.index.parents_of(piece.nid))]
-            for parent_extent in parent_extents:
-                self._promote_break(parent_extent, kv - 1, expr, required)
-            sub_pending = set(piece.extent.members())
-            while sub_pending:
-                sub_piece = self.index.nodes[node_of[min(sub_pending)]]
-                sub_pending.difference_update(sub_piece.extent.members())
-                if sub_piece.k >= kv:
-                    continue
-                self._split_by_all_parents(sub_piece, kv)
-                if not any(node.k < required
-                           for node in self.index.evaluate(expr)):
-                    raise _FalseInstancesGone
-
-    def _split_by_all_parents(self, node: IndexNode, kv: int) -> list[int]:
-        """Partition ``node`` by every parent's ``Succ`` set; assign ``kv``."""
-        parts: list[set[int]] = [set(node.extent.members())]
-        for parent in sorted(self.index.parents_of(node.nid)):
-            succ = succ_set(self.graph, self.index.nodes[parent].extent)
-            refined: list[set[int]] = []
-            for part in parts:
-                inside = part & succ
-                outside = part - succ
-                if inside:
-                    refined.append(inside)
-                if outside:
-                    refined.append(outside)
-            parts = refined
-        return self.index.replace_node(node.nid, [(part, kv) for part in parts])
+        refine_fup(flat_family("mk", self.index,
+                               merge_remainder=self.merge_remainder),
+                   expr, result, counter)
 
     # ------------------------------------------------------------------
     # Size metrics

@@ -12,11 +12,14 @@ the finest one required lets the index
   similarity is exactly ``k - 1`` — never overqualified — eliminating the
   over-refinement that D(k)-promote and M(k) suffer (Figure 4).
 
-The refinement procedures ``REFINE*`` / ``REFINENODE*`` / ``SPLITNODE*`` /
-``PROMOTE*`` follow the paper's pseudocode; changes made to a component
-are immediately propagated to all subsequent components so the hierarchy
-stays a chain of refinements (the paper explains why delaying propagation
-breaks Properties 3 and 4).
+``REFINE*`` / ``REFINENODE*`` / ``SPLITNODE*`` / ``PROMOTE*`` are the
+shared kernel of :mod:`repro.indexes.refine` with this file's hooks
+plugged in: parents come from the supernode in ``I(k-1)``, a level-``k``
+piece has its ancestor-supernode chain ``I1..Ik`` split coarsest first,
+and :meth:`MStarIndex._replace` propagates every change to all
+subsequent components immediately, so the hierarchy stays a chain of
+refinements (the paper explains why delaying propagation breaks
+Properties 3 and 4).
 
 Query strategies (naive, top-down, subpath pre-filtering) live in
 :mod:`repro.indexes.strategies`; :meth:`MStarIndex.query` defaults to the
@@ -29,19 +32,11 @@ from collections.abc import Sequence
 
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
-from repro.graph.paths import pred_set, succ_set
-from repro.indexes.base import IndexGraph, QueryResult
+from repro.indexes.base import IndexGraph, IndexNode, QueryResult
 from repro.indexes.partition import label_blocks
+from repro.indexes.refine import Family, fup_requirement, refine_fup
 from repro.obs import trace as _trace
-from repro.queries.evaluator import evaluate_on_data_graph
 from repro.queries.pathexpr import PathExpression
-
-#: Hard stop for the break-false-instances loop (safety net, not tuning).
-_MAX_REFINE_ROUNDS = 10_000
-
-
-class _FalseInstancesGone(Exception):
-    """Long jump out of ``PROMOTE*`` once no false instance remains."""
 
 
 class MStarIndex:
@@ -126,6 +121,15 @@ class MStarIndex:
         """
         from repro.indexes import strategies
 
+        dispatch = {
+            "topdown": strategies.query_topdown,
+            "naive": strategies.query_naive,
+            "prefilter": strategies.query_prefilter,
+            "bottomup": strategies.query_bottomup,
+            "hybrid": strategies.query_hybrid,
+        }
+        if strategy != "auto" and strategy not in dispatch:
+            raise ValueError(f"unknown strategy {strategy!r}")
         tracer = _trace.TRACER
         if expr.has_descendant_steps:
             # Descendant axes have unbounded instance length: no prefix-
@@ -144,16 +148,6 @@ class MStarIndex:
 
                 self._optimizer = StrategyOptimizer(self)
             chosen = self._optimizer.choose(expr)
-
-        dispatch = {
-            "topdown": strategies.query_topdown,
-            "naive": strategies.query_naive,
-            "prefilter": strategies.query_prefilter,
-            "bottomup": strategies.query_bottomup,
-            "hybrid": strategies.query_hybrid,
-        }
-        if chosen not in dispatch:
-            raise ValueError(f"unknown strategy {chosen!r}")
         if tracer.enabled:
             # The strategy tag records the per-component evaluation route
             # actually taken (after the cost-based "auto" choice resolves).
@@ -200,295 +194,41 @@ class MStarIndex:
         internal evaluations plus mutation work routed through each
         component's work sink.
         """
-        if expr.has_wildcard:
-            raise ValueError("FUPs must be simple label paths (no wildcards)")
-        if expr.has_descendant_steps:
-            raise ValueError("FUPs must use the child axis only "
-                             "(descendant-axis instances have unbounded "
-                             "length; no finite k can support them)")
-        required = expr.length + (1 if expr.rooted else 0)
-        if required == 0:
+        if fup_requirement(expr) == 0:
             return  # I0 answers single-label queries precisely already
-        cost = counter if counter is not None else CostCounter()
-        tracer = _trace.TRACER
-        span = tracer.span("mstar.refine", query=str(expr),
-                           required=required) if tracer.enabled \
-            else _trace.NULL_SPAN
-        with span:
-            self.extend_components(required)
-            outer_sinks = [component.work_sink
-                           for component in self.components]
-            for component in self.components:
-                component.work_sink = cost
-            try:
-                self._refine_metered(expr, result, cost, required)
-            finally:
-                for component, sink in zip(self.components, outer_sinks):
-                    component.work_sink = sink
+        refine_fup(Family(name="mstar", levels=self._levels,
+                          parents_of=self._parents_in_previous,
+                          commit=self._replace,
+                          chain=lambda k: range(1, k + 1),
+                          frontier=self._topdown_targets),
+                   expr, result, counter)
 
-    def _refine_metered(self, expr: PathExpression,
-                        result: QueryResult | None, cost: CostCounter,
-                        required: int) -> None:
-        target_data = (set(result.answers) if result is not None
-                       else evaluate_on_data_graph(self.graph, expr, cost))
-        finest = self.components[required]
+    # -- what M*(k) plugs into the shared kernel --------------------------
+    def _levels(self, required: int) -> list[IndexGraph]:
+        """``REFINE*`` lines 1-3: level ``i`` lives in component ``Ii``."""
+        self.extend_components(required)
+        return self.components
 
-        # Lines 4-6: refine every target node holding relevant data.
-        for _ in range(_MAX_REFINE_ROUNDS):
-            pending = [node for node in finest.evaluate(expr, cost)
-                       if node.k < required and node.extent & target_data]
-            if not pending:
-                break
-            node = pending[0]
-            self._refine_node(required, set(node.extent),
-                              node.extent & target_data)
-        else:
-            raise RuntimeError(f"REFINENODE* failed to converge for {expr}")
+    def _parents_in_previous(self, i: int, nid: int) -> list[IndexNode]:
+        """Parents of the supernode in ``I(i-1)``: their similarity is
+        exactly ``i - 1``, never more, so no split is overqualified."""
+        previous = self.components[i - 1]
+        return [previous.nodes[parent] for parent
+                in sorted(previous.parents_of(self.supernode[i][nid]))]
 
-        # Lines 7-8: break any instance of the FUP that leads to false
-        # positives.  As for M(k), the published ``v.k < length(l)``
-        # condition is a proxy; overstated targets (k claimed high but the
-        # extent strays outside the true target set) are broken too, along
-        # the true-target boundary.  The check walks the same top-down
-        # route queries take, which can reach a superset of the plain
-        # finest-component target set.
+    def _topdown_targets(self, expr: PathExpression, cost: CostCounter
+                         ) -> tuple[int, list[IndexNode]]:
+        """Targets along the top-down route queries take, which can reach
+        a superset of the plain finest-component target set."""
         from repro.indexes.strategies import topdown_frontier
 
-        truth = (target_data if result is None
-                 else evaluate_on_data_graph(self.graph, expr, cost))
-
-        def topdown_targets():
-            component, frontier = topdown_frontier(self, expr, cost)
-            return component, [self.components[component].nodes[nid]
-                               for nid in sorted(frontier)]
-
-        # Phase 1 (the published loop, a cost optimisation): promote
-        # under-refined targets; stalled promotions are left to validation.
-        for _ in range(_MAX_REFINE_ROUNDS):
-            component, targets = topdown_targets()
-            under = [node for node in targets if node.k < required]
-            if not under:
-                break
-            before = self._mutations()
-            try:
-                self._promote_star(required, set(under[0].extent),
-                                   expr, required)
-            except _FalseInstancesGone:
-                break
-            if self._mutations() == before:
-                break  # no progress possible; validation keeps us correct
-        else:
-            raise RuntimeError(f"REFINE* failed to converge for {expr}")
-
-        # Phase 2 (correctness): split overstated targets along the
-        # true-target boundary, following the same top-down route queries
-        # take.  Each break removes one overstated target and creates
-        # none, so the loop strictly decreases.
-        for _ in range(_MAX_REFINE_ROUNDS):
-            component, targets = topdown_targets()
-            over = [node for node in targets
-                    if node.k >= required and not node.extent <= truth]
-            if not over:
-                return
-            self._break_overstated(component, over[0].nid, required, truth)
-        raise RuntimeError(f"REFINE* failed to converge for {expr}")
+        component, frontier = topdown_frontier(self, expr, cost)
+        nodes = self.components[component].nodes
+        return component, [nodes[nid] for nid in sorted(frontier)]
 
     def _mutations(self) -> int:
         """Total replace_node count across components (progress probe)."""
         return sum(component.mutations for component in self.components)
-
-    def _break_overstated(self, component: int, nid: int, required: int,
-                          truth: set[int]) -> None:
-        """Split an overstated target along the true-target boundary.
-
-        The impostor part's similarity drops below ``required`` so future
-        queries of this length validate it; the drop is propagated to
-        subsequent components (``_replace`` clamps subnode similarity at
-        one above the piece's, keeping Property 4).
-        """
-        node = self.components[component].nodes[nid]
-        true_part = node.extent & truth
-        false_part = node.extent - truth
-        parts: list[tuple[set[int], int]] = []
-        if true_part:
-            parts.append((true_part, node.k))
-        if false_part:
-            parts.append((false_part, max(0, min(node.k, required - 1))))
-        self._replace(component, nid, parts)
-
-    # -- REFINENODE* ------------------------------------------------------
-    def _refine_node(self, k: int, extent: set[int],
-                     relevant_data: set[int]) -> None:
-        """``REFINENODE*(v, k, relevantData)`` with ``v`` in component ``k``.
-
-        As in M(k), the node is tracked by extent so the procedure stays
-        correct when refining ancestors splits the node itself.
-        """
-        tracer = _trace.TRACER
-        if tracer.enabled:
-            with tracer.span("mstar.refinenode", k=k, extent=len(extent),
-                             relevant=len(relevant_data)):
-                self._refine_node_impl(k, extent, relevant_data)
-            return
-        self._refine_node_impl(k, extent, relevant_data)
-
-    def _refine_node_impl(self, k: int, extent: set[int],
-                          relevant_data: set[int]) -> None:
-        if k <= 0:
-            return
-        comp = self.components[k]
-        # Worklist over the snapshot extent: recursive refinement of
-        # ancestors can split pieces resolved earlier, so each piece is
-        # re-resolved through a live data node just before processing.
-        pending = set(extent)
-        while pending:
-            piece_nid = comp.node_of[min(pending)]
-            piece = comp.nodes[piece_nid]
-            pending.difference_update(piece.extent)
-            piece_relevant = relevant_data & piece.extent
-            if not piece_relevant or piece.k >= k:
-                continue
-            # Lines 4-7: recursively refine the parents of the supernode in
-            # I(k-1) that contain parents of relevant data.
-            relevant_parents = pred_set(self.graph, piece_relevant)
-            sup = self.supernode[k][piece_nid]
-            previous = self.components[k - 1]
-            parent_extents = [set(previous.nodes[parent].extent)
-                              for parent in sorted(previous.parents_of(sup))]
-            for parent_extent in parent_extents:
-                pred_data = relevant_parents & parent_extent
-                if pred_data:
-                    self._refine_node(k - 1, parent_extent, pred_data)
-            # Lines 9-13: split the ancestor supernodes of every surviving
-            # relevant piece, coarsest component first; each split is
-            # propagated to all subsequent components immediately.  The
-            # worklist re-resolves because splitting one sub-piece's
-            # ancestors can split its siblings via that propagation.
-            sub_pending = set(piece.extent)
-            while sub_pending:
-                sub_nid = comp.node_of[min(sub_pending)]
-                sub = comp.nodes[sub_nid]
-                sub_pending.difference_update(sub.extent)
-                sub_relevant = relevant_data & sub.extent
-                if not sub_relevant or sub.k >= k:
-                    continue
-                # Walk the ancestor-supernode chain from the coarsest
-                # component needing work up to Ik (lines 9-13).  The chain
-                # is re-resolved through a representative data node because
-                # each split propagates downwards and renames nodes.
-                representative = min(sub_relevant)
-                for i in range(1, k + 1):
-                    ancestor_nid = self.components[i].node_of[representative]
-                    ancestor = self.components[i].nodes[ancestor_nid]
-                    if ancestor.k >= i:
-                        continue
-                    self._split_node(i, ancestor_nid,
-                                     ancestor.extent & relevant_data)
-
-    # -- SPLITNODE* -------------------------------------------------------
-    def _split_node(self, i: int, nid: int, relevant_data: set[int]) -> None:
-        """``SPLITNODE*(v, k, relevantData)`` with ``v`` in component ``i``.
-
-        Splits using the parents of the node's supernode in ``I(i-1)`` —
-        which have similarity exactly ``i - 1``, never more — and merges
-        pieces without relevant data into a remainder keeping the old
-        similarity.
-
-        As in :meth:`MkIndex._split_and_merge`, the split uses *every*
-        parent, not only the qualified ones of the published pseudocode:
-        pieces holding relevant data are reached only by qualified parent
-        nodes (each was just recursively refined), so the ``i`` claim on
-        them becomes sound, while the qualified-only split leaves them
-        mixed across an unqualified parent and later queries trusting
-        ``v.k`` return false positives.  Irrelevant pieces still merge
-        into the remainder at the old similarity.
-        """
-        comp = self.components[i]
-        node = comp.nodes[nid]
-        if not relevant_data:
-            return
-        k_old = node.k
-        sup = self.supernode[i][nid]
-        previous = self.components[i - 1]
-        parts: list[set[int]] = [set(node.extent)]
-        for parent in sorted(previous.parents_of(sup)):
-            parent_node = previous.nodes[parent]
-            succ = succ_set(self.graph, parent_node.extent)
-            refined: list[set[int]] = []
-            for part in parts:
-                inside = part & succ
-                outside = part - succ
-                if inside:
-                    refined.append(inside)
-                if outside:
-                    refined.append(outside)
-            parts = refined
-        relevant_parts = [part for part in parts if part & relevant_data]
-        remainder: set[int] = set()
-        for part in parts:
-            if not (part & relevant_data):
-                remainder |= part
-        replacement = [(part, i) for part in relevant_parts]
-        if remainder:
-            replacement.append((remainder, k_old))
-        self._replace(i, nid, replacement)
-
-    # -- PROMOTE* -----------------------------------------------------------
-    def _promote_star(self, k: int, extent: set[int], expr: PathExpression,
-                      required: int) -> None:
-        """``PROMOTE*``: REFINENODE* over all data nodes, with a long jump.
-
-        Promotes every data node of the tracked node (no relevant-data
-        filtering) and bails out as soon as the FUP has no violating
-        target left in the finest component it needs.
-        """
-        tracer = _trace.TRACER
-        if tracer.enabled:
-            # The long jump (_FalseInstancesGone) unwinds through the
-            # span, which records it as an ``error`` tag — that is the
-            # signal PROMOTE* converged, not a failure.
-            with tracer.span("mstar.promote", k=k, extent=len(extent),
-                             query=str(expr)):
-                self._promote_star_impl(k, extent, expr, required)
-            return
-        self._promote_star_impl(k, extent, expr, required)
-
-    def _promote_star_impl(self, k: int, extent: set[int],
-                           expr: PathExpression, required: int) -> None:
-        if k <= 0:
-            return
-        comp = self.components[k]
-        finest = self.components[required]
-        pending = set(extent)
-        while pending:
-            piece_nid = comp.node_of[min(pending)]
-            piece = comp.nodes[piece_nid]
-            pending.difference_update(piece.extent)
-            if piece.k >= k:
-                continue
-            sup = self.supernode[k][piece_nid]
-            previous = self.components[k - 1]
-            parent_extents = [set(previous.nodes[parent].extent)
-                              for parent in sorted(previous.parents_of(sup))]
-            for parent_extent in parent_extents:
-                self._promote_star(k - 1, parent_extent, expr, required)
-            sub_pending = set(piece.extent)
-            while sub_pending:
-                sub_nid = comp.node_of[min(sub_pending)]
-                sub = comp.nodes[sub_nid]
-                sub_pending.difference_update(sub.extent)
-                if sub.k >= k:
-                    continue
-                representative = min(sub.extent)
-                for i in range(1, k + 1):
-                    ancestor_nid = self.components[i].node_of[representative]
-                    ancestor = self.components[i].nodes[ancestor_nid]
-                    if ancestor.k >= i:
-                        continue
-                    self._split_node(i, ancestor_nid, set(ancestor.extent))
-                    if not any(node.k < required
-                               for node in finest.evaluate(expr)):
-                        raise _FalseInstancesGone
 
     # ------------------------------------------------------------------
     # Split-with-links plumbing
@@ -556,11 +296,6 @@ class MStarIndex:
                 self._replace(i + 1, sub_nid, sub_parts,
                               piece_supernodes=piece_ids)
         return new_ids
-
-    def _resolve(self, i: int, extent: set[int]) -> list[int]:
-        """Current component-``i`` node ids covering a (stale) extent."""
-        node_of = self.components[i].node_of
-        return sorted({node_of[oid] for oid in extent})
 
     # ------------------------------------------------------------------
     # Size metrics (Section 5 conventions)

@@ -17,8 +17,6 @@ query processing."  This subpackage builds that structure:
   (external runs under ``REPRO_STORAGE_BUDGET``, merged through
   ``Extent.from_sorted`` into segments) for A(k) and the M*(k)
   resolution hierarchy;
-* :mod:`repro.storage.prefetch` — trace-driven background prefetch for
-  sequential page runs;
 * :mod:`repro.storage.diskindex` — :class:`DiskMStarIndex`, a read-only
   M*(k)-index stored as one segment, whose top-down query algorithm
   touches only the pages holding the index nodes it walks, so short
@@ -31,7 +29,6 @@ semantics.
 
 from repro.storage.diskindex import DiskMStarIndex
 from repro.storage.pager import BufferPool, PageFile
-from repro.storage.prefetch import BackgroundPrefetcher
 from repro.storage.segment import (
     Segment,
     SegmentCorruption,
@@ -53,7 +50,6 @@ from repro.storage.spill import (
 
 __all__ = [
     "BUDGET_ENV",
-    "BackgroundPrefetcher",
     "BufferPool",
     "DiskMStarIndex",
     "OocBuildReport",

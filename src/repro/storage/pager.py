@@ -23,10 +23,6 @@ PR 9 extensions (the out-of-core data plane, see ``docs/storage.md``):
   on probation (next in eviction order) so a one-pass scan cannot wipe
   the hot set; a page re-admitted soon after eviction (tracked in a
   small ghost list) goes straight to the protected end.
-* **prefetch accounting** — ``prefetch(key)`` loads a page without
-  counting a demand miss; later demand hits on prefetched pages are
-  counted separately so the background prefetcher's usefulness is
-  measurable (``pager_prefetch_*`` metrics).
 """
 
 from __future__ import annotations
@@ -56,11 +52,6 @@ _M_MISSES = _metrics.REGISTRY.counter(
     "pager_pool_misses_total", "page requests that went to disk")
 _M_EVICTIONS = _metrics.REGISTRY.counter(
     "pager_evictions_total", "pages evicted from the buffer pool")
-_M_PREFETCHES = _metrics.REGISTRY.counter(
-    "pager_prefetch_pages_total", "pages loaded by prefetch")
-_M_PREFETCH_HITS = _metrics.REGISTRY.counter(
-    "pager_prefetch_hits_total",
-    "demand requests served by a previously prefetched page")
 
 
 @dataclass(frozen=True)
@@ -208,25 +199,19 @@ class BufferPool:
         #: Recently evicted keys (scan admission promotes re-admissions).
         self._ghosts: OrderedDict[tuple[int, int], None] = OrderedDict()
         self._pins: dict[tuple[int, int], int] = {}
-        self._prefetched: set[tuple[int, int]] = set()
         #: Logical page requests served from the pool.
         self.hits = 0
         #: Logical page requests that went to disk.
         self.misses = 0
-        #: Pages loaded by :meth:`prefetch` (not demand misses).
-        self.prefetches = 0
-        #: Demand requests that found a prefetched page resident.
-        self.prefetch_hits = 0
         #: Pages dropped to make room (monotone).
         self.evictions = 0
         #: Times capacity was overshot because every page was pinned.
         self.pin_overflows = 0
-        self._miss_listener = None
         self._lock = threading.Lock()
 
     @property
     def reads(self) -> int:
-        """Physical page reads (cache misses + prefetches) so far."""
+        """Physical page reads (one per cache miss) so far."""
         return self.file.reads
 
     # ------------------------------------------------------------------
@@ -254,7 +239,6 @@ class BufferPool:
                 self.pin_overflows += 1
                 return
             del self._cached[victim]
-            self._prefetched.discard(victim)
             self._ghosts[victim] = None
             while len(self._ghosts) > self.GHOST_FACTOR * self.capacity:
                 self._ghosts.popitem(last=False)
@@ -267,18 +251,11 @@ class BufferPool:
             self._cached.move_to_end(key)
             self.hits += 1
             _M_HITS.inc()
-            if key in self._prefetched:
-                self._prefetched.discard(key)
-                self.prefetch_hits += 1
-                _M_PREFETCH_HITS.inc()
             return cached
         self.misses += 1
         _M_MISSES.inc()
         records = self.file.read_page(key)
         self._admit(key, records)
-        listener = self._miss_listener
-        if listener is not None:
-            listener(key)
         return records
 
     # ------------------------------------------------------------------
@@ -337,42 +314,6 @@ class BufferPool:
         with self._lock:
             return len(self._pins)
 
-    def prefetch(self, key: tuple[int, int]) -> bool:
-        """Load ``key`` into the pool without counting a demand miss.
-
-        Returns ``True`` when the page was actually loaded.  A corrupt
-        page is *not* swallowed silently into the cache: the read error
-        is suppressed here (prefetch is advisory), but a later demand
-        read of the same page re-reads and raises.
-        """
-        with self._lock:
-            if key in self._cached or key not in self.file.pages:
-                return False
-        try:
-            records = self.file.read_page(key)
-        except (ValueError, KeyError, OSError):
-            return False
-        with self._lock:
-            if key in self._cached:
-                return False
-            self._admit(key, records)
-            self._prefetched.add(key)
-            self.prefetches += 1
-            _M_PREFETCHES.inc()
-            return True
-
-    def set_miss_listener(
-            self,
-            listener: "Callable[[tuple[int, int]], None] | None") -> None:
-        """Install a demand-miss callback (``listener(key)``).
-
-        Called with the pool lock held — the listener must only enqueue
-        (the background prefetcher's ``note``), never call back into the
-        pool synchronously.
-        """
-        with self._lock:
-            self._miss_listener = listener
-
     def cached_pages(self) -> int:
         """Pages currently resident in the pool."""
         with self._lock:
@@ -387,8 +328,6 @@ class BufferPool:
         with self._lock:
             self.hits = 0
             self.misses = 0
-            self.prefetches = 0
-            self.prefetch_hits = 0
             self.evictions = 0
             self.pin_overflows = 0
             self.file.reads = 0

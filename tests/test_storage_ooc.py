@@ -1,6 +1,6 @@
-"""Out-of-core storage tests: spill builds, pinning, prefetch, serving.
+"""Out-of-core storage tests: spill builds, pinning, serving.
 
-Four contracts from the PR 9 data plane:
+Three contracts from the PR 9 data plane:
 
 * **spill construction is exact** — `SpillSorter` under a byte budget
   merges to the same sorted stream an in-RAM sort produces, and the
@@ -11,10 +11,7 @@ Four contracts from the PR 9 data plane:
   paged in on demand;
 * **pins beat eviction** — a pinned page survives any cache pressure
   (including a concurrent pin/evict hammer) and scan admission protects
-  the hot set;
-* **prefetch is measurable** — sequential miss runs schedule background
-  loads that later demand reads hit, counted separately from demand
-  misses.
+  the hot set.
 """
 
 import random
@@ -26,7 +23,6 @@ import pytest
 from repro.indexes.aindex import AkIndex
 from repro.queries.workload import Workload
 from repro.storage.pager import BufferPool
-from repro.storage.prefetch import BackgroundPrefetcher
 from repro.storage.segment import Segment, SegmentWriter
 from repro.storage.spill import (
     SpillSorter,
@@ -259,32 +255,3 @@ class TestScanAdmission:
         with make_segment(str(tmp_path / "s.seg")) as segment:
             with pytest.raises(ValueError, match="admission"):
                 BufferPool(segment._file, 2, admission="mystery")
-
-
-class TestBackgroundPrefetch:
-    def test_sequential_misses_prefetch_ahead(self, tmp_path):
-        with make_segment(str(tmp_path / "s.seg"),
-                          num_keys=512) as segment:
-            pool = BufferPool(segment._file, 64)
-            with BackgroundPrefetcher(pool, depth=2) as prefetcher:
-                pool.page((0, 0))
-                pool.page((0, 1))  # sequential: schedules pages 2 and 3
-                prefetcher.drain()
-                assert prefetcher.scheduled >= 2
-                assert pool.prefetches >= 1
-                assert pool.resident((0, 2))
-                reads_before = pool.reads
-                pool.page((0, 2))  # demand hit on a prefetched page
-                assert pool.reads == reads_before
-                assert pool.prefetch_hits >= 1
-
-    def test_random_misses_schedule_nothing(self, tmp_path):
-        with make_segment(str(tmp_path / "s.seg"),
-                          num_keys=512) as segment:
-            pool = BufferPool(segment._file, 64)
-            with BackgroundPrefetcher(pool, depth=2) as prefetcher:
-                for number in (0, 7, 3, 11, 5):
-                    pool.page((0, number))
-                prefetcher.drain()
-                assert prefetcher.scheduled == 0
-                assert pool.prefetches == 0

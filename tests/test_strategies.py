@@ -46,6 +46,12 @@ class TestAgreement:
             MStarIndex(fig1).query(PathExpression.parse("//person"),
                                    strategy="bogus")
 
+    def test_unknown_strategy_rejected_for_descendant_queries(self, fig1):
+        """The ``//a//b`` shortcut used to return before the check."""
+        with pytest.raises(ValueError, match="unknown strategy"):
+            MStarIndex(fig1).query(PathExpression.parse("//site//person"),
+                                   strategy="bogus")
+
 
 class TestTopDown:
     def test_short_query_stays_in_coarse_component(self, fig7):
