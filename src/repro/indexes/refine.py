@@ -210,19 +210,23 @@ class _Refinement:
         if self.family.target_aware:
             target_data = (set(result.answers) if result is not None
                            else evaluate_on_data_graph(self.graph, expr, cost))
-            # Phase 0 (REFINE lines 1-2, REFINE* lines 4-6): refine each
-            # target node holding relevant data, passing only that data.
-            # Re-evaluating after each node keeps the loop correct when
-            # refining one target splits another (cyclic data).
+            # Phase 0 (REFINE lines 1-2, REFINE* lines 4-6): one walk of
+            # the FUP per round, then ``foreach v in S`` — refine every
+            # target node holding relevant data, passing only that data,
+            # in the order the walk returned them.  Refining one target
+            # can split a later one (cyclic data); ``descend`` tracks its
+            # node by extent, so the stale node's pieces are re-resolved
+            # and only those still short of ``required`` are refined.
+            # The next round's walk confirms the fixpoint.
             finest = self.levels[required]
             for _ in range(_MAX_REFINE_ROUNDS):
                 pending = [node for node in finest.evaluate(expr, cost)
                            if node.k < required and node.extent & target_data]
                 if not pending:
                     break
-                node = pending[0]
-                self.descend(required, node.extent.members(),
-                             node.extent & target_data)
+                for node in pending:
+                    self.descend(required, node.extent.members(),
+                                 node.extent & target_data)
             else:
                 raise self._stuck("REFINENODE")
             truth = (target_data if result is None

@@ -37,6 +37,10 @@ from repro.verify.fuzz import profile_named, random_data_graph
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures",
                       "refine_equivalence.json")
+#: The golden as recorded before phase 0 became one walk per round (the
+#: only regeneration so far); see test_regeneration_only_lowers_walk_cost.
+GOLDEN_PR15 = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "refine_equivalence_pr15.json")
 
 
 def _parse(*texts: str) -> list[PathExpression]:
@@ -230,6 +234,34 @@ def test_refine_matches_golden(golden, scenario, family):
     for step, (got, want) in enumerate(zip(actual, expected)):
         assert got == want, (f"{scenario}/{family}: refine call {step} "
                              f"({want['fup']}) diverged")
+
+
+def test_regeneration_only_lowers_walk_cost(golden):
+    """What the one regeneration was allowed to change.
+
+    Phase 0 now walks the FUP once per round instead of once per target
+    node, so a refine call may charge fewer index visits, and the order
+    in which M(k) meets its targets may move node ids.  Partitions,
+    similarities, sizes and the data-visit charge may not move, and D(k)
+    (which has no phase 0) may not move at all.
+    """
+    with open(GOLDEN_PR15, encoding="utf-8") as handle:
+        before = json.load(handle)
+    assert sorted(before) == sorted(golden)
+    for name, rows in golden.items():
+        family = name.split("/")[1]
+        assert len(rows) == len(before[name])
+        for step, (new, old) in enumerate(zip(rows, before[name])):
+            where = f"{name}: refine call {step} ({old['fup']})"
+            for field in ("fup", "partition_sha256", "size_nodes",
+                          "size_edges", "data_visits"):
+                assert new[field] == old[field], f"{where}: {field} moved"
+            assert new["index_visits"] <= old["index_visits"], where
+            if family == "dk":
+                assert new == old, f"{where}: a dk row changed"
+            if family != "mk":
+                assert new["node_ids_sha256"] == old["node_ids_sha256"], \
+                    f"{where}: node ids moved outside M(k)"
 
 
 if __name__ == "__main__":

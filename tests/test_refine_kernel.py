@@ -1,0 +1,208 @@
+"""The REFINE kernel's own contracts (``repro.indexes.refine``).
+
+``test_refine_equivalence.py`` pins *what* every refine call produces;
+this file tests the properties the kernel's shape rests on:
+
+* phase 0 walks the FUP once per round and then refines every target of
+  that walk, so a target can be stale (split by an earlier descent of
+  the same round) by the time its turn comes — ``descend`` must cope;
+* that walk count does not grow with the number of target nodes.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cost.counters import CostCounter
+from repro.graph.builder import graph_from_edges
+from repro.graph.datagraph import DataGraph
+from repro.indexes import refine as refine_module
+from repro.indexes.base import IndexGraph
+from repro.indexes.dindex import DkIndex
+from repro.indexes.mindex import MkIndex
+from repro.indexes.mstarindex import MStarIndex
+from repro.indexes.refine import fup_requirement
+from repro.queries.evaluator import evaluate_on_data_graph
+from repro.queries.pathexpr import PathExpression
+from repro.queries.workload import Workload
+from repro.verify.fuzz import profile_named, random_data_graph
+
+FAMILIES = {
+    "dk": DkIndex,
+    "mk": MkIndex,
+    "mk_nomerge": lambda graph: MkIndex(graph, merge_remainder=False),
+    "mstar": MStarIndex,
+}
+TARGET_AWARE = ("mk", "mk_nomerge", "mstar")
+
+
+def _components(index) -> list[IndexGraph]:
+    return index.components if isinstance(index, MStarIndex) \
+        else [index.index]
+
+
+def assert_supported(index, graph: DataGraph, expr: PathExpression) -> None:
+    """What ``refine(expr)`` promises, whatever order it met its targets in."""
+    required = fup_requirement(expr)
+    truth = evaluate_on_data_graph(graph, expr)
+    finest = _components(index)[-1]
+    for node in finest.evaluate(expr):
+        assert node.k >= required or not node.extent & truth, \
+            f"{node} still holds relevant data below k={required}"
+    for component in _components(index):
+        component.check_partition()
+        component.check_edges()
+    if isinstance(index, MStarIndex):
+        index.check_invariants()
+    result = index.query(expr)
+    assert result.answers == truth
+    assert not result.validated
+
+
+def _cycle_graph() -> DataGraph:
+    """``a/b/a/b`` closed into a reference cycle: the one target node of
+    ``//a/b/a/b`` is its own ancestor."""
+    return graph_from_edges(["r", "a", "b", "a", "b"],
+                            [(0, 1), (1, 2), (2, 3), (3, 4)],
+                            references=[(4, 1)])
+
+
+def _shared_cyclic_ancestor_graph() -> DataGraph:
+    """After ``//a/b`` the ``b`` nodes are ``{6}`` and ``{2, 4}``, both
+    targets of ``//a/b/a/b``; ``a5 -> b4`` closes a cycle through the
+    parents of both, so refining ``{6}`` splits ``{2, 4}``."""
+    return graph_from_edges(["r", "a", "b", "a", "b", "a", "b"],
+                            [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6)],
+                            references=[(5, 4), (4, 6)])
+
+
+@pytest.fixture
+def stale_targets(monkeypatch) -> list[tuple[list[int], list[int]]]:
+    """Record every phase-0 target that is no longer a live index node
+    when ``descend`` gets to it: ``(its extent, the live node's extent)``."""
+    stale: list[tuple[list[int], list[int]]] = []
+    descend = refine_module._Refinement.descend
+    depth = 0
+
+    def spy(self, k, extent, relevant):
+        nonlocal depth
+        if depth == 0 and relevant is not None:
+            level = self.levels[k]
+            live = level.nodes[level.node_of[min(extent)]].extent
+            if live != set(extent):
+                stale.append((sorted(extent), list(live)))
+        depth += 1
+        try:
+            return descend(self, k, extent, relevant)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(refine_module._Refinement, "descend", spy)
+    return stale
+
+
+class TestStaleTargets:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_target_that_is_its_own_ancestor(self, family):
+        graph = _cycle_graph()
+        index = FAMILIES[family](graph)
+        expr = PathExpression.parse("//a/b/a/b")
+        index.refine(expr, index.query(expr))
+        assert_supported(index, graph, expr)
+
+    @pytest.mark.parametrize("family", TARGET_AWARE)
+    def test_refining_the_first_target_splits_the_second(self, family,
+                                                         stale_targets):
+        graph = _shared_cyclic_ancestor_graph()
+        index = FAMILIES[family](graph)
+        first = PathExpression.parse("//a/b")
+        index.refine(first, index.query(first))
+        assert not stale_targets
+        expr = PathExpression.parse("//a/b/a/b")
+        index.refine(expr, index.query(expr))
+        # The second target of the round's one walk was handed to
+        # ``descend`` after the first one's descent had split it.
+        assert stale_targets == [([2, 4], [2])]
+        assert_supported(index, graph, expr)
+        assert_supported(index, graph, first)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, 10_000), st.integers(0, 99),
+           st.sampled_from(["dk", "mk", "mstar"]))
+    def test_cyclic_graphs_are_supported_after_every_refine(
+            self, graph_seed, workload_seed, family):
+        graph = random_data_graph(profile_named("cyclic"), graph_seed)
+        index = FAMILIES[family](graph)
+        for position, expr in enumerate(Workload.generate(
+                graph, num_queries=6, max_length=5, seed=workload_seed)):
+            index.refine(expr, index.query(expr) if position % 2 else None)
+            assert_supported(index, graph, expr)
+
+
+def _fan_document(num_targets: int) -> tuple[DataGraph, list[PathExpression]]:
+    """``r/a/b/c`` chains whose ``c`` each has a second parent with a
+    label of its own: refining ``//y<i>/c`` for every ``i`` leaves
+    ``num_targets`` singleton ``c`` nodes at ``k = 1``, all of them
+    under-refined targets of ``//a/b/c``."""
+    graph = DataGraph()
+    root = graph.add_node("r")
+    for i in range(num_targets):
+        a = graph.add_node("a")
+        b = graph.add_node("b")
+        c = graph.add_node("c")
+        y = graph.add_node(f"y{i}")
+        for parent, child in ((root, a), (a, b), (b, c), (root, y), (y, c)):
+            graph.add_edge(parent, child)
+    return graph, [PathExpression.parse(f"//y{i}/c")
+                   for i in range(num_targets)]
+
+
+def _refine_fan(family: str, num_targets: int) -> tuple[int, int]:
+    """``(index visits, phase-0 walks)`` of refining ``//a/b/c`` over
+    ``num_targets`` pending target nodes."""
+    graph, splitters = _fan_document(num_targets)
+    index = FAMILIES[family](graph)
+    for expr in splitters:
+        index.refine(expr, index.query(expr))
+    expr = PathExpression.parse("//a/b/c")
+    finest = _components(index)[-1]
+    pending = [node for node in finest.evaluate(expr) if node.k < 2]
+    assert len(pending) == num_targets
+    counter = CostCounter()
+    walks = 0
+    evaluate = IndexGraph.evaluate
+
+    def counting(self, expr, cost=None):
+        nonlocal walks
+        # Phase 0 is the only caller that walks with the refinement's
+        # own counter on M*(k) (phases 1-2 take the top-down route and
+        # the long-jump probe is unmetered).
+        walks += cost is counter
+        return evaluate(self, expr, cost)
+
+    IndexGraph.evaluate = counting
+    try:
+        index.refine(expr, index.query(expr), counter)
+    finally:
+        IndexGraph.evaluate = evaluate
+    assert_supported(index, graph, expr)
+    return counter.index_visits, walks
+
+
+class TestWalkCost:
+    def test_one_walk_per_round_not_per_target(self):
+        # One round refines all 50 targets; the second walk finds
+        # nothing pending.  Re-walking per target made this 51.
+        _, walks = _refine_fan("mstar", 50)
+        assert walks == 2
+
+    @pytest.mark.parametrize("family", TARGET_AWARE)
+    def test_walk_cost_grows_linearly_with_targets(self, family):
+        small, _ = _refine_fan(family, 50)
+        large, _ = _refine_fan(family, 200)
+        # 4x the targets: ~4x the visits.  A re-walk after every target
+        # is quadratic (~16x).
+        assert large < 6 * small
