@@ -57,10 +57,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
-from repro.graph.paths import pred_set, succ_set
+from repro.graph.paths import pred_set
 from repro.indexes.base import IndexGraph, IndexNode, QueryResult
 from repro.obs import trace as _trace
 from repro.queries.evaluator import evaluate_on_data_graph
@@ -70,7 +71,7 @@ from repro.queries.pathexpr import PathExpression
 #: run needs far fewer rounds, so hitting this indicates a bug.
 _MAX_REFINE_ROUNDS = 10_000
 
-Parts = list[tuple[set[int], int]]
+Parts = list[tuple[Iterable[int], int]]
 
 
 class _FalseInstancesGone(Exception):
@@ -90,22 +91,49 @@ def fup_requirement(expr: PathExpression) -> int:
     return expr.length + (1 if expr.rooted else 0)
 
 
+# The scan of the extent's parent rows is charged where the split is
+# committed: ``replace_node`` adds ``data_visits += len(old.extent)``.
+# repro-lint: disable=cost-accounting
 def partition_by_succ(graph: DataGraph, extent: Iterable[int],
-                      parent_nodes: Iterable[IndexNode]) -> list[set[int]]:
-    """Partition ``extent`` by each parent's ``Succ`` set, in order."""
-    parts: list[set[int]] = [set(extent)]
-    for parent in parent_nodes:
-        succ = succ_set(graph, parent.extent)
-        refined: list[set[int]] = []
-        for part in parts:
-            inside = part & succ
-            outside = part - succ
-            if inside:
-                refined.append(inside)
-            if outside:
-                refined.append(outside)
-        parts = refined
-    return parts
+                      parent_nodes: Sequence[IndexNode],
+                      node_of: Sequence[int]) -> list[list[int]]:
+    """Partition ``extent`` by each parent's ``Succ`` set, in order.
+
+    The result is what splitting by ``Succ(parent.extent)`` for each of
+    ``parent_nodes`` in turn gives, the part inside ``Succ`` before the
+    part outside it — but computed from the extent side: one pass keys
+    each member by the ranks (positions in ``parent_nodes``) of the
+    parent nodes holding its data parents, found through ``node_of``
+    (the oid -> node-id map of the graph ``parent_nodes`` live in).  Data
+    parents held by no listed node do not count.  Members of an
+    ascending ``extent`` come out as ascending runs.
+
+    Two members part ways at the first parent that holds a data parent
+    of only one of them, and the one inside goes first; on sorted rank
+    tuples that is lexicographic order with a trailing +inf (a proper
+    prefix has fewer parents, so it sorts after; no parent at all sorts
+    last).
+    """
+    rank_of = {parent.nid: rank for rank, parent in enumerate(parent_nodes)}
+    rank = rank_of.get
+    parent_rows = graph.parent_rows()
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for oid in extent:
+        row = parent_rows[oid]
+        if len(row) == 1:  # the XML case: one data parent
+            held = rank(node_of[row[0]])
+            key = () if held is None else (held,)
+        else:
+            key = tuple(sorted({held for parent in row
+                                if (held := rank(node_of[parent]))
+                                is not None}))
+        run = groups.get(key)
+        if run is None:
+            groups[key] = [oid]
+        else:
+            run.append(oid)
+    return [groups[key] for key in
+            sorted(groups, key=lambda ranks: ranks + (len(rank_of),))]
 
 
 @dataclass(frozen=True)
@@ -384,14 +412,16 @@ class _Refinement:
         ``level`` for them would be unsound.
         """
         k_old = node.k
-        parts = partition_by_succ(self.graph, node.extent.members(),
-                                  self.family.parents_of(level, node.nid))
-        kept = [relevant is None or bool(part & relevant) for part in parts]
+        parts = partition_by_succ(self.graph, node.extent,
+                                  self.family.parents_of(level, node.nid),
+                                  self.levels[level - 1].node_of)
+        kept = [relevant is None or not relevant.isdisjoint(part)
+                for part in parts]
         if self.family.merge_remainder:
-            replacement = [(part, level)
-                           for part, keep in zip(parts, kept) if keep]
-            remainder: set[int] = set().union(
-                *(part for part, keep in zip(parts, kept) if not keep))
+            replacement: Parts = [(part, level)
+                                  for part, keep in zip(parts, kept) if keep]
+            remainder = sorted(chain.from_iterable(
+                part for part, keep in zip(parts, kept) if not keep))
             if remainder:
                 replacement.append((remainder, k_old))
         else:

@@ -6,7 +6,10 @@ this file tests the properties the kernel's shape rests on:
 * phase 0 walks the FUP once per round and then refines every target of
   that walk, so a target can be stale (split by an earlier descent of
   the same round) by the time its turn comes — ``descend`` must cope;
-* that walk count does not grow with the number of target nodes.
+* that walk count does not grow with the number of target nodes;
+* ``partition_by_succ`` groups a node's extent from the extent side and
+  must equal, part for part and in order, the chain of binary
+  ``Succ``-splits it replaced (kept here as the reference).
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from hypothesis import strategies as st
 from repro.cost.counters import CostCounter
 from repro.graph.builder import graph_from_edges
 from repro.graph.datagraph import DataGraph
+from repro.graph.paths import succ_set
 from repro.indexes import refine as refine_module
+from repro.indexes.aindex import AkIndex
 from repro.indexes.base import IndexGraph
 from repro.indexes.dindex import DkIndex
 from repro.indexes.mindex import MkIndex
 from repro.indexes.mstarindex import MStarIndex
-from repro.indexes.refine import fup_requirement
+from repro.indexes.refine import fup_requirement, partition_by_succ
 from repro.queries.evaluator import evaluate_on_data_graph
 from repro.queries.pathexpr import PathExpression
 from repro.queries.workload import Workload
@@ -206,3 +211,85 @@ class TestWalkCost:
         # 4x the targets: ~4x the visits.  A re-walk after every target
         # is quadratic (~16x).
         assert large < 6 * small
+
+
+def _partition_by_succ_chain(graph: DataGraph, extent, parent_nodes
+                             ) -> list[set[int]]:
+    """Reference: the chain of inside/outside binary splits, one per
+    parent, that ``partition_by_succ`` used to be (built from the parent
+    side as ``Succ(parent.extent)`` sets)."""
+    parts: list[set[int]] = [set(extent)]
+    for parent in parent_nodes:
+        succ = succ_set(graph, parent.extent)
+        refined: list[set[int]] = []
+        for part in parts:
+            inside = part & succ
+            outside = part - succ
+            if inside:
+                refined.append(inside)
+            if outside:
+                refined.append(outside)
+        parts = refined
+    return parts
+
+
+class TestPartitionBySucc:
+    @staticmethod
+    def _check(graph: DataGraph, index: IndexGraph, extent,
+               parent_nodes) -> list[list[int]]:
+        parts = partition_by_succ(graph, extent, parent_nodes, index.node_of)
+        assert [set(part) for part in parts] == \
+            _partition_by_succ_chain(graph, extent, parent_nodes)
+        for part in parts:
+            assert part == sorted(part)
+        return parts
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(["cyclic", "dag", "tree"]),
+           st.integers(0, 10_000), st.integers(0, 3), st.randoms())
+    def test_matches_the_binary_split_chain(self, profile, graph_seed,
+                                            k, rng):
+        """Same parts *in the same order*, for whole nodes and arbitrary
+        sub-extents, full parent lists, strict subsets and shuffles —
+        on thawed list rows and frozen CSR rows alike."""
+        graph = random_data_graph(profile_named(profile), graph_seed)
+        index = AkIndex(graph, k).index
+        for frozen in (False, True):
+            if frozen:
+                graph.freeze()
+            for nid in sorted(index.nodes):
+                node = index.nodes[nid]
+                parents = [index.nodes[parent]
+                           for parent in sorted(index.parents_of(nid))]
+                self._check(graph, index, node.extent, parents)
+                subset = [parent for parent in parents if rng.random() < 0.5]
+                self._check(graph, index, node.extent, subset)
+                rng.shuffle(parents)
+                some = [oid for oid in node.extent if rng.random() < 0.7]
+                if some:
+                    self._check(graph, index, some, parents)
+
+    def test_subset_of_parents_and_parentless_member(self):
+        #      r0 -> a1 -> c4      a1 holds c4 and c5; b3 holds c5 too;
+        #      r0 -> a2 -> c6      c7 has no parent at all
+        #      r0 -> b3 -> c5 <- a1
+        graph = DataGraph()
+        for label in ("r", "a", "a", "b", "c", "c", "c", "c"):
+            graph.add_node(label)
+        for parent, child in ((0, 1), (0, 2), (0, 3), (1, 4), (3, 5),
+                              (2, 6), (1, 5)):
+            graph.add_edge(parent, child)
+        index = IndexGraph.from_extents(graph, [
+            ({0}, 0), ({1}, 0), ({2}, 0), ({3}, 0), ({4, 5, 6, 7}, 0)])
+        a1, a2, b3 = (index.node_containing(oid) for oid in (1, 2, 3))
+        extent = index.node_containing(4).extent
+        assert self._check(graph, index, extent, [a1, a2, b3]) == \
+            [[5], [4], [6], [7]]
+        assert self._check(graph, index, extent, [b3, a2, a1]) == \
+            [[5], [6], [4], [7]]
+        # A strict subset of the real parents: c4's only parent is not
+        # listed, so it joins the parentless c7 in the last part.
+        assert self._check(graph, index, extent, [a2, b3]) == \
+            [[6], [5], [4, 7]]
+        assert self._check(graph, index, extent, []) == [[4, 5, 6, 7]]
