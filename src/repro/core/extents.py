@@ -124,6 +124,32 @@ class Extent:
         """
         return self
 
+    def split_by(self, keys: Iterable) -> dict:
+        """Group the members by ``keys`` (one per member, in member order).
+
+        Returns ``{key: Extent}`` in order of each key's first member.
+        Every group inherits the ascending order of this extent, so no
+        group is sorted or deduplicated again; an extent whose members
+        all share one key is returned itself, uncopied.
+        """
+        keys = keys if isinstance(keys, list) else list(keys)
+        data = self._data
+        if len(keys) != len(data):
+            raise ValueError(f"{len(keys)} keys for {len(data)} members")
+        if not keys:
+            return {}
+        if keys.count(keys[0]) == len(keys):
+            return {keys[0]: self}
+        runs: dict = {}
+        for oid, key in zip(data, keys):
+            run = runs.get(key)
+            if run is None:
+                runs[key] = [oid]
+            else:
+                run.append(oid)
+        return {key: Extent(array(_TYPECODE, run))
+                for key, run in runs.items()}
+
     def tolist(self) -> list[int]:
         """The members as a plain ascending ``list[int]``."""
         return self._data.tolist()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.core.extents import Extent
 from repro.cost.counters import CostCounter
@@ -25,6 +26,9 @@ from repro.indexes.partition import kbisimulation_blocks, refine_once
 from repro.obs import trace as _trace
 from repro.queries.evaluator import required_similarity, validate_extent
 from repro.queries.pathexpr import WILDCARD, PathExpression
+
+
+_NOT_A_COVER = "parts must disjointly cover the old extent"
 
 
 class IndexNode:
@@ -183,15 +187,21 @@ class IndexGraph:
             # cannot depend on hash order.
             # repro-lint: disable=determinism
             label = labels.pop()
-        nid = self._next_id
-        self._next_id += 1
-        node = IndexNode(nid, label, k, extent)
-        self.nodes[nid] = node
-        self._parents[nid] = set()
-        self._children[nid] = set()
-        self._by_label.setdefault(node.label, set()).add(nid)
+        nid = self._register_node(extent, k, label)
         for oid in extent:
             self.node_of[oid] = nid
+        return nid
+
+    def _register_node(self, extent: Iterable[int], k: int,
+                       label: str) -> int:
+        """Allocate the next node id for ``extent``; the caller owns the
+        ``node_of`` entries of its members."""
+        nid = self._next_id
+        self._next_id += 1
+        self.nodes[nid] = IndexNode(nid, label, k, extent)
+        self._parents[nid] = set()
+        self._children[nid] = set()
+        self._by_label.setdefault(label, set()).add(nid)
         return nid
 
     def _assert_covering(self) -> None:
@@ -273,43 +283,56 @@ class IndexGraph:
     # Mutation: node splitting
     # ------------------------------------------------------------------
     def replace_node(self, nid: int,
-                     parts: Sequence[tuple[set[int], int]]) -> list[int]:
+                     parts: Sequence[tuple[Iterable[int], int]]) -> list[int]:
         """Replace index node ``nid`` with the given ``(extent, k)`` parts.
 
-        The parts must be a disjoint cover of the old extent.  Index edges
-        incident to the node (including self-loops) are recomputed from the
-        data graph; edges elsewhere are untouched.  Returns the new node
-        ids, in the order given.
+        The parts must be a disjoint cover of the old extent.  Refinement
+        hands them over packed (:class:`Extent`, which is stored as is);
+        any other iterable of oids is canonicalised first.  Index edges
+        incident to the node (including self-loops) are recomputed from
+        the data graph; edges elsewhere are untouched.  Returns the new
+        node ids, in the order given.  A rejected call (``ValueError``)
+        leaves the index as it was.
 
         Passing a single part simply updates ``k`` (and keeps the node id),
         which is how refinement procedures "promote without splitting".
         """
         old = self.nodes[nid]
         old_extent = old.extent
-        total = 0
-        covered: set[int] = set()
-        update = covered.update
-        for extent, _ in parts:
-            update(extent._data if isinstance(extent, Extent) else extent)
-            total += len(extent)
-        # Compare set-to-set (C level); Extent.__eq__ against a set walks
-        # element-wise in Python, which dominated refinement profiles.
-        if total != len(old_extent) or covered != old_extent.to_set():
-            raise ValueError("parts must disjointly cover the old extent")
+        packed = [(Extent.from_iterable(extent), k) for extent, k in parts]
 
-        if len(parts) == 1:
-            if old.k != parts[0][1]:
-                old.k = parts[0][1]
+        if len(packed) == 1:
+            extent, k = packed[0]
+            if extent is not old_extent and extent != old_extent:
+                raise ValueError(_NOT_A_COVER)
+            if old.k != k:
+                old.k = k
                 self.mutations += 1
                 self._bump_label(old.label)
                 if self.work_sink is not None:
                     self.work_sink.index_visits += 1
             return [nid]
+
+        # Cover check: the sizes add up, every member still belongs to
+        # the old node, and — because each part is handed to its new id
+        # as soon as it is checked — no member is claimed twice.
+        if sum(len(extent) for extent, _ in packed) != len(old_extent):
+            raise ValueError(_NOT_A_COVER)
+        node_of = self.node_of
+        owner = node_of.__getitem__
+        for new_id, (extent, _) in enumerate(packed, self._next_id):
+            if set(map(owner, extent)) != {nid}:
+                for oid in old_extent:
+                    node_of[oid] = nid
+                raise ValueError(_NOT_A_COVER)
+            for oid in extent:
+                node_of[oid] = new_id
+
         self.mutations += 1
         self._bump_label(old.label)
         if self.work_sink is not None:
-            self.work_sink.index_visits += len(parts)
-            self.work_sink.data_visits += len(old.extent)
+            self.work_sink.index_visits += len(packed)
+            self.work_sink.data_visits += len(old_extent)
 
         # Detach the old node.
         for parent in self._parents[nid]:
@@ -323,35 +346,24 @@ class IndexGraph:
         del self.nodes[nid]
         self._by_label[old.label].discard(nid)
 
-        # Parts were just checked to cover the old extent, so they share
-        # its label; pass it to skip the homogeneity scan and hand the
-        # part straight to the Extent constructor (no defensive copy).
-        new_ids = [self._add_node(extent, k, label=old.label)
-                   for extent, k in parts]
+        # The parts cover the old extent, so they share its label.
+        new_ids = [self._register_node(extent, k, old.label)
+                   for extent, k in packed]
 
-        # Derive edges touching the new parts from the data graph.  oid ->
-        # index-node assignments were updated by _add_node, so edges among
-        # the parts themselves come out right too.
-        node_of = self.node_of
-        graph_children = self.graph.child_rows()
-        graph_parents = self.graph.parent_rows()
+        # Derive edges touching the new parts from the data graph: one
+        # gather over ``node_of`` per direction.  Every member already
+        # maps to its new node, so edges among the parts themselves come
+        # out right too.  Many data edges collapse onto one index edge;
+        # the shared adjacency maps are touched once per *distinct*
+        # neighbour, not once per data edge.
+        child_row = self.graph.child_rows().__getitem__
+        parent_row = self.graph.parent_rows().__getitem__
+        flatten = chain.from_iterable
         all_parents = self._parents
         all_children = self._children
-        for new_id, (extent, _) in zip(new_ids, parts):
-            # Iterate the caller's part (usually a plain set) rather than
-            # the freshly packed Extent: same members, no per-oid array
-            # unboxing in this O(extent · degree) loop.  Dedupe into
-            # local sets first: many data edges collapse onto one index
-            # edge, and touching the shared adjacency maps once per
-            # *distinct* neighbour (not once per data edge) halves the
-            # set.add traffic that dominated refinement profiles.
-            downs: set[int] = set()
-            ups: set[int] = set()
-            for oid in extent:
-                for child in graph_children[oid]:
-                    downs.add(node_of[child])
-                for parent in graph_parents[oid]:
-                    ups.add(node_of[parent])
+        for new_id, (extent, _) in zip(new_ids, packed):
+            downs = set(map(owner, flatten(map(child_row, extent))))
+            ups = set(map(owner, flatten(map(parent_row, extent))))
             # Rebinding the part's own rows is safe: edges added by
             # sibling parts processed earlier are recomputed from the
             # same data edges, and nothing external holds a reference to

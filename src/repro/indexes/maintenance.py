@@ -145,7 +145,7 @@ def _reclamp_links(index: MStarIndex) -> None:
                 clamps.append((nid, limit))
         for nid, limit in clamps:
             component.replace_node(
-                nid, [(set(component.nodes[nid].extent), limit)])
+                nid, [(component.nodes[nid].extent, limit)])
         _restore_property3(component, [nid for nid, _ in clamps])
 
 
@@ -172,8 +172,7 @@ def _restore_property3(component: IndexGraph, seeds: Sequence[int]) -> None:
             for child in sorted(component.children_of(nid)):
                 node = component.nodes[child]
                 if node.k > bound:
-                    component.replace_node(
-                        child, [(set(node.extent), bound)])
+                    component.replace_node(child, [(node.extent, bound)])
                     next_frontier.append(child)
         frontier = next_frontier
 

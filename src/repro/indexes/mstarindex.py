@@ -34,7 +34,7 @@ from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
 from repro.indexes.base import IndexGraph, IndexNode, QueryResult
 from repro.indexes.partition import label_blocks
-from repro.indexes.refine import Family, fup_requirement, refine_fup
+from repro.indexes.refine import Family, Parts, fup_requirement, refine_fup
 from repro.obs import trace as _trace
 from repro.queries.pathexpr import PathExpression
 
@@ -233,8 +233,7 @@ class MStarIndex:
     # ------------------------------------------------------------------
     # Split-with-links plumbing
     # ------------------------------------------------------------------
-    def _replace(self, i: int, nid: int,
-                 parts: Sequence[tuple[set[int], int]],
+    def _replace(self, i: int, nid: int, parts: Parts,
                  piece_supernodes: Sequence[int] | None = None) -> list[int]:
         """Replace a node in component ``i`` and propagate downwards.
 
@@ -259,7 +258,7 @@ class MStarIndex:
                 piece_supernodes = [old_sup] * len(parts)
         old_subs = [] if is_last else sorted(self.subnodes[i].pop(nid))
 
-        new_ids = comp.replace_node(nid, list(parts))
+        new_ids = comp.replace_node(nid, parts)
 
         for position, new_id in enumerate(new_ids):
             if i > 0:
@@ -270,15 +269,16 @@ class MStarIndex:
                 self.subnodes[i][new_id] = set()
 
         if old_subs:
-            node_of = comp.node_of
+            piece_of = comp.node_of.__getitem__
             deeper = self.components[i + 1]
             for sub_nid in old_subs:
                 sub_node = deeper.nodes[sub_nid]
-                groups: dict[int, set[int]] = {}
-                for oid in sub_node.extent:
-                    groups.setdefault(node_of[oid], set()).add(oid)
+                # Usually the subnode lies inside one piece and the
+                # same extent comes back, uncopied, to change its ``k``.
+                groups = sub_node.extent.split_by(
+                    map(piece_of, sub_node.extent))
                 piece_ids = sorted(groups)
-                sub_parts = []
+                sub_parts: Parts = []
                 for piece_id in piece_ids:
                     piece_k = comp.nodes[piece_id].k
                     if piece_k < i:

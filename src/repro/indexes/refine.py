@@ -59,6 +59,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
+from repro.core.extents import Extent
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
 from repro.graph.paths import pred_set
@@ -71,7 +72,9 @@ from repro.queries.pathexpr import PathExpression
 #: run needs far fewer rounds, so hitting this indicates a bug.
 _MAX_REFINE_ROUNDS = 10_000
 
-Parts = list[tuple[Iterable[int], int]]
+#: What a split hands to ``Family.commit``: packed ``(extent, k)`` pieces
+#: that disjointly cover the node being replaced.
+Parts = list[tuple[Extent, int]]
 
 
 class _FalseInstancesGone(Exception):
@@ -96,7 +99,7 @@ def fup_requirement(expr: PathExpression) -> int:
 # repro-lint: disable=cost-accounting
 def partition_by_succ(graph: DataGraph, extent: Iterable[int],
                       parent_nodes: Sequence[IndexNode],
-                      node_of: Sequence[int]) -> list[list[int]]:
+                      node_of: Sequence[int]) -> list[Extent]:
     """Partition ``extent`` by each parent's ``Succ`` set, in order.
 
     The result is what splitting by ``Succ(parent.extent)`` for each of
@@ -105,8 +108,7 @@ def partition_by_succ(graph: DataGraph, extent: Iterable[int],
     each member by the ranks (positions in ``parent_nodes``) of the
     parent nodes holding its data parents, found through ``node_of``
     (the oid -> node-id map of the graph ``parent_nodes`` live in).  Data
-    parents held by no listed node do not count.  Members of an
-    ascending ``extent`` come out as ascending runs.
+    parents held by no listed node do not count.
 
     Two members part ways at the first parent that holds a data parent
     of only one of them, and the one inside goes first; on sorted rank
@@ -114,24 +116,22 @@ def partition_by_succ(graph: DataGraph, extent: Iterable[int],
     prefix has fewer parents, so it sorts after; no parent at all sorts
     last).
     """
+    extent = Extent.from_iterable(extent)
     rank_of = {parent.nid: rank for rank, parent in enumerate(parent_nodes)}
     rank = rank_of.get
     parent_rows = graph.parent_rows()
-    groups: dict[tuple[int, ...], list[int]] = {}
+    keys: list[tuple[int, ...]] = []
     for oid in extent:
         row = parent_rows[oid]
         if len(row) == 1:  # the XML case: one data parent
             held = rank(node_of[row[0]])
-            key = () if held is None else (held,)
+            keys.append(() if held is None else (held,))
         else:
-            key = tuple(sorted({held for parent in row
-                                if (held := rank(node_of[parent]))
-                                is not None}))
-        run = groups.get(key)
-        if run is None:
-            groups[key] = [oid]
-        else:
-            run.append(oid)
+            keys.append(tuple(sorted({held for parent in row
+                                      if (held := rank(node_of[parent]))
+                                      is not None})))
+    groups = extent.split_by(keys)
+    # Any rank no parent has serves as +inf.
     return [groups[key] for key in
             sorted(groups, key=lambda ranks: ranks + (len(rank_of),))]
 
@@ -253,7 +253,7 @@ class _Refinement:
                 if not pending:
                     break
                 for node in pending:
-                    self.descend(required, node.extent.members(),
+                    self.descend(required, node.extent,
                                  node.extent & target_data)
             else:
                 raise self._stuck("REFINENODE")
@@ -272,7 +272,7 @@ class _Refinement:
                 break
             before = self._mutations()
             try:
-                self.descend(required, under[0].extent.members(), None)
+                self.descend(required, under[0].extent, None)
             except _FalseInstancesGone:
                 break
             if self._mutations() == before:
@@ -303,17 +303,17 @@ class _Refinement:
         the FUP); the impostor part drops below ``required`` so every
         future query of this length validates it.
         """
-        true_part = node.extent & truth
-        false_part = node.extent - truth
+        pieces = node.extent.split_by([oid in truth for oid in node.extent])
         parts: Parts = []
-        if true_part:
-            parts.append((true_part, node.k))
-        if false_part:
-            parts.append((false_part, max(0, min(node.k, self.required - 1))))
+        if True in pieces:
+            parts.append((pieces[True], node.k))
+        if False in pieces:
+            parts.append((pieces[False],
+                          max(0, min(node.k, self.required - 1))))
         self.family.commit(level, node.nid, parts)
 
     # -- REFINENODE(*) / PROMOTE / PROMOTE' / PROMOTE* ----------------------
-    def descend(self, k: int, extent: Iterable[int],
+    def descend(self, k: int, extent: Extent,
                 relevant: set[int] | None) -> None:
         """Raise the pieces of ``extent`` holding ``relevant`` data to ``k``.
 
@@ -347,14 +347,14 @@ class _Refinement:
                              extent=len(extent), relevant=len(relevant)):
                 self._descend(k, extent, relevant)
 
-    def _descend(self, k: int, extent: Iterable[int],
+    def _descend(self, k: int, extent: Extent,
                  relevant: set[int] | None) -> None:
         family = self.family
         graph = self.levels[k]
         node_of = graph.node_of
-        chain = family.chain(k) if family.chain is not None else (k,)
+        split_levels = family.chain(k) if family.chain is not None else (k,)
         probing = relevant is None and family.target_aware
-        pending = set(extent)
+        pending = extent.to_set()
         while pending:
             piece = graph.nodes[node_of[min(pending)]]
             members = piece.extent.members()
@@ -368,7 +368,7 @@ class _Refinement:
             # where D(k) drags irrelevant data nodes in).
             relevant_parents = None if relevant is None \
                 else pred_set(self.graph, piece_relevant)
-            parent_extents = [parent.extent.members()
+            parent_extents = [parent.extent
                               for parent in family.parents_of(k, piece.nid)]
             for parent_extent in parent_extents:
                 if relevant_parents is None:
@@ -390,7 +390,7 @@ class _Refinement:
                 if sub.k >= k or not sub_relevant:
                     continue
                 representative = min(sub_relevant)
-                for level in chain:
+                for level in split_levels:
                     ancestor = self.levels[level].node_containing(
                         representative)
                     if ancestor.k >= level:
@@ -420,10 +420,13 @@ class _Refinement:
         if self.family.merge_remainder:
             replacement: Parts = [(part, level)
                                   for part, keep in zip(parts, kept) if keep]
-            remainder = sorted(chain.from_iterable(
-                part for part, keep in zip(parts, kept) if not keep))
-            if remainder:
-                replacement.append((remainder, k_old))
+            rest = [part for part, keep in zip(parts, kept) if not keep]
+            if len(rest) == 1:
+                replacement.append((rest[0], k_old))
+            elif rest:
+                # Ascending runs: merging them needs no deduplication.
+                replacement.append((Extent.from_sorted(
+                    sorted(chain.from_iterable(rest))), k_old))
         else:
             replacement = [(part, level if keep else k_old)
                            for part, keep in zip(parts, kept)]

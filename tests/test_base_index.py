@@ -104,6 +104,21 @@ class TestReplaceNode:
         with pytest.raises(ValueError):
             index.replace_node(c_node.nid, [({4, 5}, 1), ({5, 6}, 1)])
 
+    def test_rejected_parts_leave_the_index_intact(self, simple_tree):
+        index = a0_index(simple_tree)
+        c_node = index.node_containing(4)
+        for bad in ([({4, 5}, 1), ({5, 6}, 1)],      # 5 claimed twice
+                    [({4, 5}, 1), ({6, 1}, 1)],      # 1 is another node's
+                    [({4, 5, 6}, 1), (set(), 1)],    # an empty part
+                    [({4, 5}, 1)]):                  # single part, short
+            with pytest.raises(ValueError):
+                index.replace_node(c_node.nid, bad)
+            assert index.node_containing(4) is c_node
+            assert c_node.extent == {4, 5, 6} and c_node.k == 0
+            assert index.mutations == 0
+            index.check_partition()
+            index.check_edges()
+
     def test_self_loop_split(self):
         from repro.graph.builder import graph_from_edges
         graph = graph_from_edges(["r", "a", "a"], [(0, 1), (1, 2)],

@@ -66,6 +66,33 @@ class TestConstruction:
         assert "n=10000" in text
 
 
+class TestSplitBy:
+    @given(values=oid_sets, data=st.data())
+    @SETTINGS
+    def test_groups_members_by_key_keeping_order(self, values, data):
+        extent = Extent.from_iterable(values)
+        keys = data.draw(st.lists(st.integers(0, 3), min_size=len(extent),
+                                  max_size=len(extent)))
+        groups = extent.split_by(iter(keys))
+        expected: dict[int, list[int]] = {}
+        for oid, key in zip(sorted(values), keys):
+            expected.setdefault(key, []).append(oid)
+        # Same groups, listed in order of first member, each ascending.
+        assert [(key, run.tolist()) for key, run in groups.items()] == \
+            list(expected.items())
+        assert all(isinstance(run, Extent) for run in groups.values())
+
+    def test_one_key_returns_the_extent_itself(self):
+        extent = Extent.from_iterable([5, 1, 9])
+        assert extent.split_by(["k"] * 3) == {"k": extent}
+        assert extent.split_by(["k"] * 3)["k"] is extent
+        assert Extent.from_sorted([]).split_by([]) == {}
+
+    def test_rejects_a_key_list_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            Extent.from_iterable([1, 2, 3]).split_by([0, 1])
+
+
 class TestSetAlgebraProperties:
     @given(a=oid_sets, b=oid_sets)
     @SETTINGS

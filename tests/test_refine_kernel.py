@@ -237,7 +237,8 @@ class TestPartitionBySucc:
     @staticmethod
     def _check(graph: DataGraph, index: IndexGraph, extent,
                parent_nodes) -> list[list[int]]:
-        parts = partition_by_succ(graph, extent, parent_nodes, index.node_of)
+        parts = [part.tolist() for part in partition_by_succ(
+            graph, extent, parent_nodes, index.node_of)]
         assert [set(part) for part in parts] == \
             _partition_by_succ_chain(graph, extent, parent_nodes)
         for part in parts:
