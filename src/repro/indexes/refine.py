@@ -97,8 +97,8 @@ def fup_requirement(expr: PathExpression) -> int:
 # The scan of the extent's parent rows is charged where the split is
 # committed: ``replace_node`` adds ``data_visits += len(old.extent)``.
 # repro-lint: disable=cost-accounting
-def partition_by_succ(graph: DataGraph, extent: Iterable[int],
-                      parent_nodes: Sequence[IndexNode],
+def partition_by_succ(graph: DataGraph, extent: Extent,
+                      parent_nodes: Iterable[IndexNode],
                       node_of: Sequence[int]) -> list[Extent]:
     """Partition ``extent`` by each parent's ``Succ`` set, in order.
 
@@ -116,7 +116,6 @@ def partition_by_succ(graph: DataGraph, extent: Iterable[int],
     prefix has fewer parents, so it sorts after; no parent at all sorts
     last).
     """
-    extent = Extent.from_iterable(extent)
     rank_of = {parent.nid: rank for rank, parent in enumerate(parent_nodes)}
     rank = rank_of.get
     parent_rows = graph.parent_rows()
@@ -148,7 +147,8 @@ class Family:
     #: refinement's counter as its work sink.
     levels: Callable[[int], Sequence[IndexGraph]]
     #: ``parents_of(i, nid)``: the parent nodes a level-``i`` node is split
-    #: by, in ascending id order.
+    #: by, in ascending id order.  They are nodes of ``levels(...)[i - 1]``,
+    #: whose ``node_of`` the split reads to place each data parent.
     parents_of: Callable[[int, int], list[IndexNode]]
     #: ``commit(i, nid, parts)``: replace a level-``i`` node by ``parts``.
     commit: Callable[[int, int, Parts], object]

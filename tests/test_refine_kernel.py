@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.extents import Extent
 from repro.cost.counters import CostCounter
 from repro.graph.builder import graph_from_edges
 from repro.graph.datagraph import DataGraph
@@ -33,6 +34,7 @@ from repro.queries.evaluator import evaluate_on_data_graph
 from repro.queries.pathexpr import PathExpression
 from repro.queries.workload import Workload
 from repro.verify.fuzz import profile_named, random_data_graph
+from tests.test_refine_equivalence import _cycle_graph
 
 FAMILIES = {
     "dk": DkIndex,
@@ -64,14 +66,6 @@ def assert_supported(index, graph: DataGraph, expr: PathExpression) -> None:
     result = index.query(expr)
     assert result.answers == truth
     assert not result.validated
-
-
-def _cycle_graph() -> DataGraph:
-    """``a/b/a/b`` closed into a reference cycle: the one target node of
-    ``//a/b/a/b`` is its own ancestor."""
-    return graph_from_edges(["r", "a", "b", "a", "b"],
-                            [(0, 1), (1, 2), (2, 3), (3, 4)],
-                            references=[(4, 1)])
 
 
 def _shared_cyclic_ancestor_graph() -> DataGraph:
@@ -111,6 +105,8 @@ def stale_targets(monkeypatch) -> list[tuple[list[int], list[int]]]:
 class TestStaleTargets:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_target_that_is_its_own_ancestor(self, family):
+        # a/b/a/b closed into a reference cycle: the one target node of
+        # //a/b/a/b is its own ancestor.
         graph = _cycle_graph()
         index = FAMILIES[family](graph)
         expr = PathExpression.parse("//a/b/a/b")
@@ -238,7 +234,8 @@ class TestPartitionBySucc:
     def _check(graph: DataGraph, index: IndexGraph, extent,
                parent_nodes) -> list[list[int]]:
         parts = [part.tolist() for part in partition_by_succ(
-            graph, extent, parent_nodes, index.node_of)]
+            graph, Extent.from_iterable(extent), parent_nodes,
+            index.node_of)]
         assert [set(part) for part in parts] == \
             _partition_by_succ_chain(graph, extent, parent_nodes)
         for part in parts:
