@@ -115,24 +115,39 @@ def partition_by_succ(graph: DataGraph, extent: Extent,
     tuples that is lexicographic order with a trailing +inf (a proper
     prefix has fewer parents, so it sorts after; no parent at all sorts
     last).
+
+    A member under one listed parent node — nearly every member, on XML —
+    is keyed by that rank itself, and one under none by ``None``: a key
+    tuple per member is a garbage-collector-tracked allocation per
+    member, held until the groups are cut, and on a large extent that
+    alone pushes the process into generation after generation of
+    collections.
     """
     rank_of = {parent.nid: rank for rank, parent in enumerate(parent_nodes)}
     rank = rank_of.get
     parent_rows = graph.parent_rows()
-    keys: list[tuple[int, ...]] = []
+    keys: list[int | tuple[int, ...] | None] = []
     for oid in extent:
         row = parent_rows[oid]
         if len(row) == 1:  # the XML case: one data parent
-            held = rank(node_of[row[0]])
-            keys.append(() if held is None else (held,))
+            keys.append(rank(node_of[row[0]]))
         else:
-            keys.append(tuple(sorted({held for parent in row
-                                      if (held := rank(node_of[parent]))
-                                      is not None})))
+            held = {rank(node_of[parent]) for parent in row}
+            held.discard(None)
+            ranks = sorted(held)
+            keys.append(tuple(ranks) if len(ranks) > 1
+                        else ranks[0] if ranks else None)
     groups = extent.split_by(keys)
-    # Any rank no parent has serves as +inf.
-    return [groups[key] for key in
-            sorted(groups, key=lambda ranks: ranks + (len(rank_of),))]
+    infinity = len(rank_of)     # a rank no parent has
+
+    def chain_order(key: int | tuple[int, ...] | None) -> tuple[int, ...]:
+        if key is None:
+            return (infinity,)
+        if key.__class__ is tuple:
+            return key + (infinity,)
+        return (key, infinity)
+
+    return [groups[key] for key in sorted(groups, key=chain_order)]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ this file tests the properties the kernel's shape rests on:
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -291,3 +293,45 @@ class TestPartitionBySucc:
         assert self._check(graph, index, extent, [a2, b3]) == \
             [[6], [5], [4, 7]]
         assert self._check(graph, index, extent, []) == [[4, 5, 6, 7]]
+
+    def test_keying_a_large_extent_triggers_no_collection(self):
+        """One garbage-collector-tracked key per member (a rank tuple)
+        is 20,000 young objects held at once here — some 28 collections
+        — and on a serving heap those escalate to full passes that land
+        inside whatever is being timed.  Members under one listed parent
+        are keyed by the rank itself."""
+        graph = DataGraph()
+        for label in ("r", "a", "a"):
+            graph.add_node(label)
+        graph.add_edge(0, 1)
+        graph.add_edge(0, 2)
+        members = []
+        for position in range(20_000):
+            oid = graph.add_node("c")
+            graph.add_edge(1 + position % 2, oid)
+            if position % 1000 == 0:    # a few under both parents
+                graph.add_edge(2 - position % 2, oid)
+            members.append(oid)
+        index = IndexGraph.from_extents(
+            graph, [({0}, 0), ({1}, 0), ({2}, 0), (set(members), 0)])
+        parents = [index.node_containing(1), index.node_containing(2)]
+        extent = index.node_containing(members[0]).extent
+
+        collections = []
+
+        def watch(phase: str, info: dict) -> None:
+            if phase == "start":
+                collections.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(watch)
+        try:
+            parts = partition_by_succ(graph, extent, parents, index.node_of)
+        finally:
+            gc.callbacks.remove(watch)
+            if not was_enabled:
+                gc.disable()
+        assert collections == []
+        assert [len(part) for part in parts] == [20, 9980, 10_000]
