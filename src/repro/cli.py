@@ -42,6 +42,7 @@ from repro.queries.pathexpr import PathExpression
 from repro.queries.workload import Workload
 from repro.storage.diskindex import DiskMStarIndex
 from repro.storage.serialization import load_graph, save_graph
+from repro.storage.spill import DEFAULT_BUDGET_BYTES
 
 
 def _load_document(path: str):
@@ -147,45 +148,40 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_ooc(args: argparse.Namespace) -> int:
-    """Spill-build an index segment under a byte budget; verify it.
+    """Spill-build the M*(k) hierarchy file under a byte budget; verify it.
 
     This is the CI ``ooc-smoke`` entry point: run with a deliberately
-    low ``REPRO_STORAGE_BUDGET`` (or ``--budget``) so the build must
-    spill, then ``--check`` proves the on-disk answers byte-identical
-    to the in-RAM builder and the data-graph oracle.
+    low ``--budget`` so the build must spill, then ``--check`` proves
+    the file's partitions identical to the in-RAM levels and its answers
+    identical to the in-RAM A(k) and the data-graph oracle.  The file
+    ``--output`` keeps is one ``repro query --index`` reads.
     """
     import os
     import tempfile
 
     from repro.indexes.aindex import AkIndex
-    from repro.indexes.segmented import SegmentAkIndex
     from repro.queries.evaluator import evaluate_on_data_graph
     from repro.storage.spill import (
-        budget_from_env,
-        build_ak_segment,
         build_hierarchy_segment,
-        inram_ak_digest,
         inram_hierarchy_digest,
     )
 
     generator = generate_xmark if args.dataset == "xmark" else generate_nasa
     graph = generator(scale=args.scale, seed=args.seed)
-    budget = args.budget if args.budget else budget_from_env()
     print(f"ooc: {args.dataset} scale {args.scale}: {graph.num_nodes} "
-          f"nodes, budget {budget} bytes")
+          f"nodes, budget {args.budget} bytes")
 
-    # Only ``--output`` outlives the command: the hierarchy segment (and
-    # the A(k) segment without ``--output``) live in this directory.
     with tempfile.TemporaryDirectory(prefix="repro-ooc-") as tmp:
-        ak_path = args.output or os.path.join(tmp, f"ak{args.k}.seg")
-        report = build_ak_segment(graph, args.k, ak_path,
-                                  budget_bytes=budget,
-                                  page_size=args.page_size)
-        print(f"ooc: A({args.k}): {report.records} extents, "
-              f"{report.pairs} pairs through {report.runs} runs "
-              f"({report.spills} spills), payload {report.payload_bytes} "
-              f"bytes ({report.dataset_ratio:.2f}x budget)")
-        print(f"ooc: A({args.k}): peak tracked working set "
+        path = args.output or os.path.join(tmp, f"mstar{args.k}.seg")
+        report = build_hierarchy_segment(graph, args.k, path,
+                                         budget_bytes=args.budget,
+                                         page_size=args.page_size)
+        print(f"ooc: M*({args.k}): {report.records} index nodes over "
+              f"{args.k + 1} components, {report.pairs} pairs through "
+              f"{report.runs} runs ({report.spills} spills), payload "
+              f"{report.payload_bytes} bytes "
+              f"({report.dataset_ratio:.2f}x budget)")
+        print(f"ooc: M*({args.k}): peak tracked working set "
               f"{report.peak_tracked_bytes} bytes "
               f"({report.peak_ratio:.2f}x budget) in {report.seconds:.3f}s")
         if report.spills == 0:
@@ -195,49 +191,31 @@ def cmd_ooc(args: argparse.Namespace) -> int:
         if not args.check:
             return 0
 
-        ram_index = AkIndex(graph, args.k)
-        if report.digest != inram_ak_digest(ram_index):
-            print(f"ooc: CHECK FAILED — A({args.k}) segment digest "
-                  f"diverges from the in-RAM build")
+        if report.digest != inram_hierarchy_digest(graph, args.k):
+            print("ooc: CHECK FAILED — hierarchy digest diverges from the "
+                  "in-RAM levels")
             return 1
-        print(f"ooc: A({args.k}) digest matches the in-RAM build")
-
+        ram_index = AkIndex(graph, args.k)
         workload = Workload.generate(graph, num_queries=args.queries,
                                      max_length=args.max_length,
                                      seed=args.seed)
         oracle_every = max(1, len(workload.queries) // 8)
-        with SegmentAkIndex(ak_path, graph) as segment_index:
+        with DiskMStarIndex(path, graph) as disk_index:
             for position, expr in enumerate(workload.queries):
-                disk = segment_index.query(expr).answers
-                ram = ram_index.query(expr).answers
-                if disk != ram:
-                    print(f"ooc: CHECK FAILED — segment answers diverge "
+                disk = disk_index.query(expr).answers
+                if disk != ram_index.query(expr).answers:
+                    print(f"ooc: CHECK FAILED — stored answers diverge "
                           f"from in-RAM A(k) on {expr}")
                     return 1
                 if position % oracle_every == 0 and \
                         disk != evaluate_on_data_graph(graph, expr):
-                    print(f"ooc: CHECK FAILED — segment answers diverge "
+                    print(f"ooc: CHECK FAILED — stored answers diverge "
                           f"from the data-graph oracle on {expr}")
                     return 1
-            reads, hits = segment_index.io_stats()
-        print(f"ooc: {len(workload.queries)} queries match the in-RAM "
-              f"index ({reads} page reads, {hits} pool hits)")
-
-        hier_path = os.path.join(tmp, f"mstar{args.k}.seg")
-        hier = build_hierarchy_segment(graph, args.k, hier_path,
-                                       budget_bytes=budget,
-                                       page_size=args.page_size)
-        matched = hier.digest == inram_hierarchy_digest(graph, args.k)
-        print(f"ooc: M*({args.k}) hierarchy: {hier.records} extents over "
-              f"{args.k + 1} levels ({hier.spills} spills, peak "
-              f"{hier.peak_ratio:.2f}x budget), digest "
-              f"{'matches' if matched else 'DIVERGES'}")
-        if not matched:
-            print("ooc: CHECK FAILED — hierarchy digest diverges from the "
-                  "in-RAM levels")
-            return 1
-        print("ooc: check OK — on-disk builds are byte-equivalent to "
-              "in-RAM construction")
+            reads, hits = disk_index.io_stats()
+        print(f"ooc: check OK — digest matches the in-RAM levels, "
+              f"{len(workload.queries)} queries match the in-RAM index "
+              f"({reads} page reads, {hits} pool hits)")
         return 0
 
 
@@ -655,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ooc = commands.add_parser(
         "ooc",
-        help="spill-build an index segment under a byte budget and "
+        help="spill-build the M*(k) index file under a byte budget and "
              "verify it against the in-RAM builder")
     ooc.add_argument("--dataset", choices=("xmark", "nasa"),
                      default="xmark")
@@ -663,16 +641,15 @@ def build_parser() -> argparse.ArgumentParser:
     ooc.add_argument("--seed", type=int, default=7)
     ooc.add_argument("--k", type=int, default=8,
                      help="local-similarity resolution to build")
-    ooc.add_argument("--budget", type=int, default=0,
-                     help=f"spill budget in bytes (default: "
-                          f"$REPRO_STORAGE_BUDGET or 64 MiB)")
+    ooc.add_argument("--budget", type=int, default=DEFAULT_BUDGET_BYTES,
+                     help="spill budget in bytes (default: 64 MiB)")
     ooc.add_argument("--page-size", type=int, default=2048,
                      help="segment page size in bytes")
     ooc.add_argument("--queries", type=int, default=40,
                      help="spot-check workload size for --check")
     ooc.add_argument("--max-length", type=int, default=6)
     ooc.add_argument("--output", "-o", default="",
-                     help="keep the A(k) segment at this path "
+                     help="keep the index file at this path "
                           "(default: temporary)")
     ooc.add_argument("--check", action="store_true",
                      help="verify digests and answers against the "

@@ -501,17 +501,20 @@ class ServingEngine(SnapshotReader):
         """Wrap an existing engine, or build one over ``source`` graph.
 
         ``cache`` controls the serving-layer result cache
-        (token-guarded, shared across workers); the wrapped engine's own
-        cache stays whatever it was configured with (it only runs under
-        the writer lock).  ``max_attempts``, ``default_timeout`` and
-        ``now`` are the :class:`SnapshotReader` knobs.
+        (token-guarded, shared across workers).  An engine built here
+        gets no result cache of its own: it only runs inside
+        :meth:`refine_pending`, where every replay it could store is
+        invalidated by the refinement that replay triggers.  An engine
+        the caller passes in keeps whatever cache it was configured
+        with.  ``max_attempts``, ``default_timeout`` and ``now`` are the
+        :class:`SnapshotReader` knobs.
         """
         if isinstance(source, AdaptiveIndexEngine):
             self.engine = source
         else:
             self.engine = AdaptiveIndexEngine(source,
                                               index_factory=index_factory,
-                                              cache=cache)
+                                              cache=False)
         super().__init__(self.engine.graph, max_attempts=max_attempts,
                          default_timeout=default_timeout, now=now)
         self.index = self.engine.index

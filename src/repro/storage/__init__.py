@@ -13,15 +13,14 @@ query processing."  This subpackage builds that structure:
 * :mod:`repro.storage.segment` — the immutable paged segment format:
   sorted key runs + offset footer, bisect/readv lookup that touches
   only the pages a query needs;
-* :mod:`repro.storage.spill` — bounded-RAM spill-path construction
-  (external runs under ``REPRO_STORAGE_BUDGET``, merged through
-  ``Extent.from_sorted`` into segments) for A(k) and the M*(k)
-  resolution hierarchy;
 * :mod:`repro.storage.diskindex` — :class:`DiskMStarIndex`, a read-only
   M*(k)-index stored as one segment, whose top-down query algorithm
   touches only the pages holding the index nodes it walks, so short
   queries stay inside the (small, hot) coarse components; the same file
-  is the only persisted form of an M*(k)-index.
+  is the only persisted form of an M*(k)-index;
+* :mod:`repro.storage.spill` — bounded-RAM spill-path construction of
+  that file (external runs under a byte budget, merged and streamed
+  out) for the M*(k) resolution hierarchy of a data graph.
 
 See ``docs/storage.md`` for the format, pager policy, and recovery
 semantics.
@@ -38,18 +37,14 @@ from repro.storage.segment import (
 )
 from repro.storage.serialization import load_graph, save_graph
 from repro.storage.spill import (
-    BUDGET_ENV,
     OocBuildReport,
     SpillSorter,
-    build_ak_segment,
     build_hierarchy_segment,
     extents_digest,
-    inram_ak_digest,
     inram_hierarchy_digest,
 )
 
 __all__ = [
-    "BUDGET_ENV",
     "BufferPool",
     "DiskMStarIndex",
     "OocBuildReport",
@@ -60,10 +55,8 @@ __all__ = [
     "SegmentFormatError",
     "SegmentWriter",
     "SpillSorter",
-    "build_ak_segment",
     "build_hierarchy_segment",
     "extents_digest",
-    "inram_ak_digest",
     "inram_hierarchy_digest",
     "load_graph",
     "save_graph",

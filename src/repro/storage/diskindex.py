@@ -1,13 +1,17 @@
 """The disk-resident M*(k)-index (Section 6's future work, built).
 
-``DiskMStarIndex.build`` streams a refined in-memory
-:class:`~repro.indexes.mstarindex.MStarIndex` into one v2 segment
+An M*(k)-index is stored as one v2 segment
 (:mod:`repro.storage.segment`, kind ``mstar-nodes``): one record per
 index node under the composite key ``component * stride + dense nid``
-(``stride`` = data-graph size, the rule ``build_hierarchy_segment``
-uses), with the per-component label directory in the footer meta.
-Queries run the paper's top-down strategy, fetching index nodes through
-the segment's :class:`~repro.storage.pager.BufferPool` — so a short
+(``stride`` = data-graph size), with the per-component label directory
+in the footer meta.  :func:`write_index_nodes` is the kind's one
+encoder; it has two producers — ``DiskMStarIndex.build`` streams a
+refined in-memory :class:`~repro.indexes.mstarindex.MStarIndex` into it,
+and :func:`repro.storage.spill.build_hierarchy_segment` the
+k-bisimulation levels of a data graph under a byte budget — and
+:class:`DiskMStarIndex` is its one reader.  Queries run the paper's
+top-down strategy, fetching index nodes through the segment's
+:class:`~repro.storage.pager.BufferPool` — so a short
 query touches only the pages of the coarse components, which is exactly
 the "loaded into memory selectively and incrementally" goal the paper
 states — and every page read is CRC-checked.
@@ -22,7 +26,7 @@ in-memory data graph, as in the paper's cost model.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
@@ -34,7 +38,15 @@ from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.storage.segment import Segment, SegmentWriter
 
 SEGMENT_KIND = "mstar-nodes"
+#: Kinds earlier trees wrote; refused at open, never parsed.
+_RETIRED_KINDS = ("ak-extents", "mstar-hierarchy")
 _NODE_HEAD = struct.Struct("<IH")
+
+#: One index node as the writer takes it: ``(component, dense nid,
+#: label, k, extent, children, subnodes)``; ``children`` are dense nids
+#: of the same component, ``subnodes`` of the next one.
+IndexNodeRow = tuple[int, int, str, int, Sequence[int], Sequence[int],
+                     Sequence[int]]
 
 
 def encode_index_node(label_id: int, k: int, extent: Sequence[int],
@@ -65,6 +77,30 @@ def decode_index_node(data: bytes) -> dict:
             "children": fields[1], "subnodes": fields[2]}
 
 
+def write_index_nodes(writer: SegmentWriter, graph: DataGraph,
+                      rows: Iterable[IndexNodeRow]) -> None:
+    """Stream index nodes into ``writer`` as an ``mstar-nodes`` segment.
+
+    ``rows`` must come component-major, dense nids ascending from 0
+    within each component (the order :meth:`DiskMStarIndex.to_memory`
+    relies on).  The caller owns ``writer`` and finishes it.
+    """
+    labels = sorted(graph.alphabet())
+    label_ids = {label: position for position, label in enumerate(labels)}
+    stride = graph.num_nodes
+    # The footer (meta included) is serialised by finish(), so the label
+    # directories can fill in while the records stream out.
+    directories: list[dict[str, list[int]]] = []
+    writer.meta.update(kind=SEGMENT_KIND, stride=stride, labels=labels,
+                       components=directories)
+    for component, dense, label, k, extent, children, subnodes in rows:
+        if component == len(directories):
+            directories.append({})
+        directories[component].setdefault(label, []).append(dense)
+        writer.add(component * stride + dense, encode_index_node(
+            label_ids[label], k, extent, children, subnodes))
+
+
 class DiskMStarIndex:
     """Read-only, paged M*(k)-index queried through a buffer pool."""
 
@@ -76,10 +112,13 @@ class DiskMStarIndex:
                                 decode_value=decode_index_node)
         meta = self._segment.meta
         try:
-            if meta.get("kind") != SEGMENT_KIND:
+            kind = meta.get("kind")
+            if kind != SEGMENT_KIND:
+                hint = ("; that kind is no longer read — rebuild the file "
+                        "with 'repro ooc'" if kind in _RETIRED_KINDS else "")
                 raise ValueError(
-                    f"{path} is a {meta.get('kind')!r} segment, not an "
-                    f"M*(k) index ({SEGMENT_KIND!r})")
+                    f"{path} is a {kind!r} segment, not an M*(k) index "
+                    f"({SEGMENT_KIND!r}){hint}")
             if meta.get("stride") != graph.num_nodes:
                 raise ValueError(
                     f"{path} does not match this data graph (built over "
@@ -104,25 +143,16 @@ class DiskMStarIndex:
               buffer_pages: int = 64) -> "DiskMStarIndex":
         """Serialise ``index`` into a segment at ``path`` and open it."""
         graph = index.graph
-        labels = sorted(graph.alphabet())
-        label_ids = {label: position for position, label in enumerate(labels)}
-        stride = graph.num_nodes
         # Node ids are sparse after refinement; renumber densely per
         # component (to_memory recreates them in this order).
         mappings = [{nid: dense
                      for dense, nid in enumerate(sorted(component.nodes))}
                     for component in index.components]
-        meta = {"kind": SEGMENT_KIND, "stride": stride, "labels": labels}
-        with SegmentWriter(path, page_size=page_size, meta=meta) as writer:
-            # The footer (meta included) is serialised by finish(), so the
-            # label directories can fill in while the records stream out.
-            directories: list[dict[str, list[int]]] = []
-            writer.meta["components"] = directories
+
+        def rows() -> Iterator[IndexNodeRow]:
             for i, component in enumerate(index.components):
                 mapping = mappings[i]
                 is_last = i == index.max_resolution
-                directory: dict[str, list[int]] = {}
-                directories.append(directory)
                 for nid, dense in mapping.items():
                     node = component.nodes[nid]
                     children = sorted(mapping[child]
@@ -130,10 +160,11 @@ class DiskMStarIndex:
                     subnodes = (sorted(mappings[i + 1][sub]
                                        for sub in index.subnodes[i][nid])
                                 if not is_last else [])
-                    directory.setdefault(node.label, []).append(dense)
-                    writer.add(i * stride + dense, encode_index_node(
-                        label_ids[node.label], node.k, node.extent,
-                        children, subnodes))
+                    yield (i, dense, node.label, node.k, node.extent,
+                           children, subnodes)
+
+        with SegmentWriter(path, page_size=page_size) as writer:
+            write_index_nodes(writer, graph, rows())
         return cls(path, graph, buffer_pages=buffer_pages)
 
     # ------------------------------------------------------------------
@@ -169,19 +200,50 @@ class DiskMStarIndex:
                                             label=label) != dense:
                 raise ValueError(f"non-dense node ids in {self.path}")
             subnodes[number][dense] = set(record["subnodes"])
+        for component in components:
+            component._assert_covering()
+            component._rebuild_edges()
         index = MStarIndex.__new__(MStarIndex)
         index.graph = graph
         index.components = components
         index.subnodes = subnodes[:-1]
-        index.supernode = [{}]
+        inverted = [self._supernodes(number, components, links)
+                    for number, links in enumerate(subnodes)]
+        # Nothing lies above I0, and the last inversion is checked empty.
+        index.supernode = [{}] + inverted[:-1]
         index._optimizer = None
-        for component in components:
-            component._assert_covering()
-            component._rebuild_edges()
-        for links in index.subnodes:
-            index.supernode.append({sub: nid for nid, subs in links.items()
-                                    for sub in subs})
         return index
+
+    def _supernodes(self, number: int, components: list[IndexGraph],
+                    links: dict[int, set[int]]) -> dict[int, int]:
+        """Invert one component's subnode lists, checking what ``build``
+        guarantees by construction and another producer might not: no
+        node's ``k`` exceeds the component number, and every node of the
+        next component is the subnode of exactly one node here and lies
+        inside its extent (so the last component links to nothing)."""
+        nodes = components[number].nodes
+        if any(node.k > number for node in nodes.values()):
+            raise ValueError(f"{self.path}: component {number} holds a node "
+                             f"whose k exceeds {number}")
+        finer = (components[number + 1].nodes
+                 if number + 1 < len(components) else {})
+        supernode: dict[int, int] = {}
+        for nid, subs in links.items():
+            extent = nodes[nid].extent
+            for sub in subs:
+                if sub in supernode or sub not in finer \
+                        or not finer[sub].extent <= extent:
+                    raise ValueError(
+                        f"{self.path}: component {number}: subnode link "
+                        f"{nid} -> {sub} is repeated, dangling or leaves "
+                        f"the node's extent")
+                supernode[sub] = nid
+        if len(supernode) != len(finer):
+            raise ValueError(
+                f"{self.path}: component {number + 1} has "
+                f"{len(finer) - len(supernode)} nodes that are the subnode "
+                f"of no node of component {number}")
+        return supernode
 
     # ------------------------------------------------------------------
     # Querying (top-down, the paper's strategy)

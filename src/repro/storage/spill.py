@@ -1,15 +1,16 @@
-"""Spill-path construction: bounded-RAM external runs merged into segments.
+"""Spill-path construction: bounded-RAM external runs merged into a segment.
 
 Partition refinement assigns every data node a block id; materialising
 the extents of a large graph all at once is exactly the in-RAM comfort
 zone ROADMAP item 3 retires.  :class:`SpillSorter` accumulates
-``(block, oid)`` pairs under a byte budget (``REPRO_STORAGE_BUDGET``),
-spilling sorted struct-packed runs to disk whenever the buffer would
-exceed it, and merges the runs back (``heapq.merge`` over bounded-chunk
-readers) into one globally sorted stream — which the builders group by
-block, pack through ``Extent.from_sorted`` (the merge output is already
-sorted and deduplicated), and write into an immutable
-:class:`~repro.storage.segment.Segment`.
+``(block, oid)`` pairs under a byte budget, spilling sorted
+struct-packed runs to disk whenever the buffer would exceed it, and
+merges the runs back (``heapq.merge`` over bounded-chunk readers) into
+one globally sorted stream — which :func:`build_hierarchy_segment`
+groups by block (the merge output is already sorted and deduplicated)
+and streams through :func:`~repro.storage.diskindex.write_index_nodes`
+into the ``mstar-nodes`` file :class:`~repro.storage.diskindex.
+DiskMStarIndex` reads.
 
 The budget governs the *data-plane working set*: the pair buffer, the
 per-run merge read chunks, the largest single extent being assembled,
@@ -29,20 +30,18 @@ import tempfile
 import time
 from array import array
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import IO, TYPE_CHECKING
 
-from repro.core.extents import Extent
-from repro.indexes.partition import kbisimulation_blocks, kbisimulation_levels
+from repro.indexes.partition import kbisimulation_levels
 from repro.obs import trace as _trace
+from repro.storage.diskindex import IndexNodeRow, write_index_nodes
 from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.storage.segment import SegmentWriter
 
 if TYPE_CHECKING:
     from repro.graph.datagraph import DataGraph
 
-#: Environment knob: spill budget in bytes for the construction path.
-BUDGET_ENV = "REPRO_STORAGE_BUDGET"
 DEFAULT_BUDGET_BYTES = 64 * 1024 * 1024
 
 _PAIR = struct.Struct("<II")
@@ -50,21 +49,6 @@ _PAIR = struct.Struct("<II")
 #: shrinks so that all open runs together stay under ~half the budget.
 MAX_CHUNK_PAIRS = 2048
 MIN_CHUNK_PAIRS = 16
-
-
-def budget_from_env(default: int = DEFAULT_BUDGET_BYTES) -> int:
-    raw = os.environ.get(BUDGET_ENV, "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{BUDGET_ENV} must be an integer byte count, got {raw!r}"
-        ) from exc
-    if value < 4096:
-        raise ValueError(f"{BUDGET_ENV} must be >= 4096 bytes, got {value}")
-    return value
 
 
 class SpillSorter:
@@ -77,12 +61,12 @@ class SpillSorter:
     how many pairs flow through.
     """
 
-    def __init__(self, budget_bytes: int | None = None,
+    def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES,
                  tmpdir: str | None = None) -> None:
-        self.budget_bytes = budget_bytes if budget_bytes is not None \
-            else budget_from_env()
-        if self.budget_bytes < 4096:
-            raise ValueError("budget_bytes must be >= 4096")
+        if budget_bytes < 4096:
+            raise ValueError(
+                f"budget_bytes must be >= 4096, got {budget_bytes}")
+        self.budget_bytes = budget_bytes
         self._buffer: list[tuple[int, int]] = []
         self._buffer_capacity = max(64, self.budget_bytes // _PAIR.size)
         self._owned_tmpdir: tempfile.TemporaryDirectory | None = None
@@ -165,6 +149,10 @@ class SpillSorter:
 
     def merge(self) -> "Iterator[tuple[int, int]]":
         """All pairs in sorted order; bounded-chunk run readers."""
+        if self._runs:
+            # Once anything spilled, the tail goes to disk too: the merge
+            # then holds one read chunk per run and no pair buffer.
+            self._spill()
         self._buffer.sort()
         self._note_peak(self.merge_bytes())
         streams = [self._iter_run(path) for path in self._runs]
@@ -190,7 +178,6 @@ class OocBuildReport:
     """What one spill-path segment build did and cost."""
 
     path: str
-    kind: str
     records: int = 0
     pairs: int = 0
     spills: int = 0
@@ -205,7 +192,6 @@ class OocBuildReport:
     payload_bytes: int = 0
     seconds: float = 0.0
     digest: str = ""
-    meta: dict = field(default_factory=dict)
 
     @property
     def peak_ratio(self) -> float:
@@ -232,10 +218,15 @@ def extents_digest(
     """
     digest = hashlib.sha256()
     for key, oids in groups:
-        digest.update(b"%d:" % key)
-        digest.update(",".join(str(oid) for oid in oids).encode("ascii"))
-        digest.update(b"\n")
+        _digest_group(digest, key, oids)
     return digest.hexdigest()
+
+
+def _digest_group(digest: "hashlib._Hash", key: int,
+                  oids: Iterable[int]) -> None:
+    digest.update(b"%d:" % key)
+    digest.update(",".join(str(oid) for oid in oids).encode("ascii"))
+    digest.update(b"\n")
 
 
 def _grouped(
@@ -255,82 +246,8 @@ def _grouped(
         yield current, values
 
 
-def _pack_oids(values: array) -> bytes:
-    return struct.pack(f"<{len(values)}I", *values)
-
-
-def _block_meta(graph: "DataGraph", blocks: list[int],
-                dense_of: dict[int, int],
-                label_ids: dict[str, int]) -> dict:
-    """Skeleton meta for one partition level: labels, adjacency, directory.
-
-    All O(index size), kept in the segment footer: the skeleton is what
-    a query navigates (small), the extents are what it avoids loading
-    (large) — the paper's "loaded selectively and incrementally" split.
-    """
-    num_blocks = len(dense_of)
-    label_of: list[int] = [-1] * num_blocks
-    children: list[set[int]] = [set() for _ in range(num_blocks)]
-    node_of = [dense_of[block] for block in blocks]
-    for oid, nid in enumerate(node_of):
-        if label_of[nid] < 0:
-            label_of[nid] = label_ids[graph.labels[oid]]
-    rows = graph.child_rows()
-    for oid in range(graph.num_nodes):
-        up = node_of[oid]
-        row = rows[oid]
-        for child in row:
-            children[up].add(node_of[child])
-    by_label: dict[str, list[int]] = {}
-    for nid, label_id in enumerate(label_of):
-        by_label.setdefault(str(label_id), []).append(nid)
-    return {
-        "num_nodes": num_blocks,
-        "label_of": label_of,
-        "children": [sorted(kids) for kids in children],
-        "by_label": by_label,
-        "root": node_of[graph.root],
-    }
-
-
-def build_ak_segment(graph: "DataGraph", k: int, path: str, *,
-                     budget_bytes: int | None = None,
-                     page_size: int = DEFAULT_PAGE_SIZE,
-                     tmpdir: str | None = None,
-                     opener: "Callable[..., IO[bytes]]" = open,
-                     ) -> OocBuildReport:
-    """Build the A(k) extent segment via the spill path.
-
-    The block assignment itself is O(n) ints and rides the graph's own
-    footprint; the extent payload — what actually dominates index size —
-    flows through :class:`SpillSorter` under ``budget_bytes`` and never
-    materialises at once.  Record keys are the dense index-node ids the
-    in-RAM ``AkIndex`` would assign (blocks sorted ascending), so the
-    two builds are digest-comparable record for record.
-    """
-    started = time.perf_counter()
-    blocks = kbisimulation_blocks(graph, k)
-    dense_of = {block: dense
-                for dense, block in enumerate(sorted(set(blocks)))}
-    label_ids = {label: position
-                 for position, label in enumerate(sorted(graph.alphabet()))}
-    meta = {
-        "kind": "ak-extents",
-        "k": k,
-        "labels": sorted(graph.alphabet()),
-        "levels": [_block_meta(graph, blocks, dense_of, label_ids)],
-    }
-    report = OocBuildReport(path=path, kind=f"A({k})")
-    _write_extent_segment(report, [(blocks, dense_of, 0)], meta, path,
-                          budget_bytes=budget_bytes, page_size=page_size,
-                          tmpdir=tmpdir, opener=opener)
-    report.seconds = time.perf_counter() - started
-    report.meta = {"k": k, "num_blocks": len(dense_of)}
-    return report
-
-
 def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
-                            budget_bytes: int | None = None,
+                            budget_bytes: int = DEFAULT_BUDGET_BYTES,
                             page_size: int = DEFAULT_PAGE_SIZE,
                             tmpdir: str | None = None,
                             opener: "Callable[..., IO[bytes]]" = open,
@@ -339,97 +256,69 @@ def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
 
     M*(k) draws its components from the k-bisimulation levels (I_0 at
     the coarse end, A(k) at the fine end); this writes every level's
-    extents into one segment under composite keys ``level * stride +
-    dense_nid`` (stride = ``graph.num_nodes``, so keys stay ascending
-    level-major and fit u32 for any graph the u32 record format holds).
+    blocks into one ``mstar-nodes`` segment, block ``dense`` of level
+    ``i`` as node ``dense`` of component ``i`` with ``k = i``.
+
+    The block assignments are O(n) ints a level and ride the graph's own
+    footprint; the extents — what actually dominates index size — flow
+    through :class:`SpillSorter` under ``budget_bytes`` and never
+    materialise at once.  A node's child edges and subnode links are
+    read off its extent as it leaves the merge, so no skeleton is held
+    either.  ``report.digest`` is over the ``(key, oids)`` groups, which
+    :func:`inram_hierarchy_digest` reproduces from the in-RAM levels.
     """
     started = time.perf_counter()
-    levels = kbisimulation_levels(graph, k)
-    level_specs = []
-    level_metas = []
-    label_ids = {label: position
-                 for position, label in enumerate(sorted(graph.alphabet()))}
-    for level, blocks in enumerate(levels):
+    # Per level, each data node's block renumbered densely in ascending
+    # block order: its node id in that component.
+    levels: list[list[int]] = []
+    for blocks in kbisimulation_levels(graph, k):
         dense_of = {block: dense
                     for dense, block in enumerate(sorted(set(blocks)))}
-        level_specs.append((blocks, dense_of, level))
-        level_metas.append(_block_meta(graph, blocks, dense_of, label_ids))
-    meta = {
-        "kind": "mstar-hierarchy",
-        "k": k,
-        "stride": graph.num_nodes,
-        "labels": sorted(graph.alphabet()),
-        "levels": level_metas,
-    }
-    report = OocBuildReport(path=path, kind=f"M*({k})")
-    _write_extent_segment(report, level_specs, meta, path,
-                          budget_bytes=budget_bytes, page_size=page_size,
-                          tmpdir=tmpdir, opener=opener)
+        levels.append([dense_of[block] for block in blocks])
+    stride = graph.num_nodes
+    child_rows = graph.child_rows()
+    report = OocBuildReport(path=path, budget_bytes=budget_bytes)
+    digest = hashlib.sha256()
+
+    def rows(writer: SegmentWriter) -> Iterator[IndexNodeRow]:
+        # Keys are level-major, so each level sorts on its own: the runs
+        # open at once, and with them the merge working set, do not grow
+        # with k.
+        for level, here in enumerate(levels):
+            finer = levels[level + 1] if level < k else None
+            max_group = 0
+            with SpillSorter(budget_bytes, tmpdir=tmpdir) as sorter:
+                for oid, dense in enumerate(here):
+                    sorter.add(dense, oid)
+                for dense, oids in _grouped(sorter.merge()):
+                    _digest_group(digest, level * stride + dense, oids)
+                    max_group = max(max_group, 4 * len(oids))
+                    report.payload_bytes += 4 * len(oids)
+                    children = sorted({here[child] for oid in oids
+                                       for child in child_rows[oid]})
+                    subnodes = (sorted({finer[oid] for oid in oids})
+                                if finer is not None else [])
+                    yield (level, dense, graph.labels[oids[0]], level, oids,
+                           children, subnodes)
+                sorter._note_peak(sorter.merge_bytes() + max_group
+                                  + writer.buffered_bytes)
+                report.pairs += sorter.pairs
+                report.spills += sorter.spills
+                report.runs += sorter.runs
+                report.peak_tracked_bytes = max(report.peak_tracked_bytes,
+                                                sorter.peak_bytes)
+
+    with SegmentWriter(path, page_size=page_size, opener=opener) as writer:
+        write_index_nodes(writer, graph, rows(writer))
+    report.records = writer.records
+    report.digest = digest.hexdigest()
     report.seconds = time.perf_counter() - started
-    report.meta = {"k": k,
-                   "blocks_per_level": [m["num_nodes"] for m in level_metas]}
     return report
 
 
-def _write_extent_segment(
-        report: OocBuildReport,
-        level_specs: "list[tuple[list[int], dict[int, int], int]]",
-        meta: dict, path: str, *, budget_bytes: int | None,
-        page_size: int, tmpdir: str | None,
-        opener: "Callable[..., IO[bytes]]") -> None:
-    stride = meta.get("stride", 0)
-    digest = hashlib.sha256()
-    with SpillSorter(budget_bytes, tmpdir=tmpdir) as sorter:
-        for blocks, dense_of, level in level_specs:
-            base = level * stride
-            for oid, block in enumerate(blocks):
-                sorter.add(base + dense_of[block], oid)
-        writer = SegmentWriter(path, page_size=page_size, meta=meta,
-                               opener=opener)
-        try:
-            max_group = 0
-            for key, oids in _grouped(sorter.merge()):
-                payload = _pack_oids(oids)
-                writer.add(key, payload)
-                digest.update(b"%d:" % key)
-                digest.update(",".join(str(oid) for oid in oids)
-                              .encode("ascii"))
-                digest.update(b"\n")
-                report.payload_bytes += len(payload)
-                group_bytes = len(oids) * 4
-                if group_bytes > max_group:
-                    max_group = group_bytes
-            sorter._note_peak(sorter.merge_bytes() + max_group
-                              + writer.buffered_bytes)
-            writer.finish()
-        except BaseException:
-            writer.abort()
-            raise
-        report.records = writer.records
-        report.pairs = sorter.pairs
-        report.spills = sorter.spills
-        report.runs = sorter.runs
-        report.budget_bytes = sorter.budget_bytes
-        report.peak_tracked_bytes = sorter.peak_bytes
-    report.digest = digest.hexdigest()
-
-
 # ----------------------------------------------------------------------
-# In-RAM reference digests (what the spill path must reproduce)
+# In-RAM reference digest (what the spill path must reproduce)
 # ----------------------------------------------------------------------
-def inram_ak_digest(index: Any) -> str:
-    """Digest of an in-RAM ``AkIndex`` in the segment's key order.
-
-    ``IndexGraph.from_blocks`` assigns dense nids over blocks sorted
-    ascending — the same order the spill merge yields — so the digests
-    agree iff the extents agree.
-    """
-    graph_index = getattr(index, "index", index)  # AkIndex wraps IndexGraph
-    return extents_digest(
-        (nid, list(graph_index.nodes[nid].extent))
-        for nid in sorted(graph_index.nodes))
-
-
 def inram_hierarchy_digest(graph: "DataGraph", k: int) -> str:
     """Digest of the in-RAM level extents, composite-keyed like the segment."""
     levels = kbisimulation_levels(graph, k)

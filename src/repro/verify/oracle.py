@@ -14,7 +14,9 @@ replayed with ``repro verify --profile <p> --graph-seed <s>``.
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -32,6 +34,8 @@ from repro.indexes.oneindex import OneIndex
 from repro.indexes.udindex import UDIndex
 from repro.queries.evaluator import evaluate_on_data_graph, find_instance
 from repro.queries.pathexpr import PathExpression
+from repro.storage.diskindex import DiskMStarIndex
+from repro.storage.spill import build_hierarchy_segment
 from repro.verify.invariants import (
     check_cost_counter,
     check_extent_path_consistency,
@@ -45,7 +49,7 @@ class Discrepancy:
     """One verification failure, with enough context to replay it."""
 
     kind: str  # "answers" | "invariant" | "witness" | "cost" | "cache"
-    # | "update" | "error"
+    # | "update" | "shard" | "stored" | "error"
     family: str
     detail: str
     query: str | None = None
@@ -658,3 +662,80 @@ def check_shard_equivalence(graph: DataGraph,
                        f"{sorted(truth - served.answers)[:5]}",
                 **context))
     return discrepancies
+
+
+def check_stored_equivalence(graph: DataGraph,
+                             stream: Sequence[PathExpression],
+                             k: int = 2,
+                             profile: str | None = None,
+                             graph_seed: int | None = None
+                             ) -> list[Discrepancy]:
+    """The stored index must be the in-RAM index, read through a pool.
+
+    The index file has two producers and one reader, so both producers
+    run: ``DiskMStarIndex.build`` writes an M*(k) refined for the
+    stream's FUPs, ``build_hierarchy_segment`` spill-builds the A(0)..A(k)
+    hierarchy of the graph under the minimum budget.  Through
+    :class:`~repro.storage.diskindex.DiskMStarIndex` on a 2-page pool
+    (every walk evicts), both files must answer the stream like forward
+    navigation and load back into an index that passes
+    ``check_invariants``; on child-axis queries the built file must
+    also report the ``validated`` flag and index visits of the in-RAM
+    index it was written from (with a descendant step the two take
+    different routes: the in-RAM index answers in its finest component,
+    the reader still walks top-down).  The page size is drawn from 64-4096 by the graph
+    seed, so records land on page breaks differently every round.
+    Divergences are ``kind="stored"``.
+    """
+    discrepancies: list[Discrepancy] = []
+    page_size = random.Random(f"stored:{graph_seed}").randint(64, 4096)
+    refined = _refined(MStarIndex(graph), refinable_fups(stream, limit=12))
+    truths = {expr: evaluate_on_data_graph(graph, expr)
+              for expr in set(stream)}
+    with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
+        producers = (
+            ("build", refined, lambda path: DiskMStarIndex.build(
+                refined, path, page_size=page_size).close()),
+            ("spill", None, lambda path: build_hierarchy_segment(
+                graph, k, path, budget_bytes=4096, page_size=page_size,
+                tmpdir=tmp)),
+        )
+        for producer, twin, write in producers:
+            context = dict(family=f"stored[{producer}]", profile=profile,
+                           graph_seed=graph_seed)
+            path = os.path.join(tmp, f"{producer}.seg")
+            try:
+                write(path)
+                with DiskMStarIndex(path, graph, buffer_pages=2) as disk:
+                    for step, expr in enumerate(stream):
+                        discrepancies.extend(_stored_query_problems(
+                            disk, twin, expr, truths[expr], step, context))
+                    disk.to_memory().check_invariants()
+            except Exception as exc:  # noqa: BLE001 - fuzzing wants the crash
+                discrepancies.append(Discrepancy(
+                    kind="error",
+                    detail=f"stored index (page size {page_size}) raised "
+                           f"{type(exc).__name__}: {exc}", **context))
+    return discrepancies
+
+
+def _stored_query_problems(disk: DiskMStarIndex, twin: MStarIndex | None,
+                           expr: PathExpression, truth: set[int],
+                           step: int, context: dict) -> list[Discrepancy]:
+    served = disk.query(expr)
+    problems = []
+    if served.answers != truth:
+        problems.append(
+            f"diverges from oracle: false positives "
+            f"{sorted(served.answers - truth)[:5]}, false negatives "
+            f"{sorted(truth - served.answers)[:5]}")
+    if twin is not None and not expr.has_descendant_steps:
+        in_ram = twin.query(expr)
+        if (served.validated, served.cost.index_visits) != \
+                (in_ram.validated, in_ram.cost.index_visits):
+            problems.append(
+                f"validated/index visits {served.validated}/"
+                f"{served.cost.index_visits} on disk, {in_ram.validated}/"
+                f"{in_ram.cost.index_visits} in RAM")
+    return [Discrepancy(kind="stored", query=str(expr), step=step,
+                        detail=detail, **context) for detail in problems]

@@ -18,7 +18,11 @@ unsound incremental maintenance.  Adaptive rounds also run the
 *sharding* axis (:func:`check_shard_equivalence`): a
 :class:`~repro.sharding.ShardedEngine` over 2-4 shards of a private
 copy of the round's graph, fed the same stream with interleaved
-updates, must answer byte-for-byte like an unsharded database.
+updates, must answer byte-for-byte like an unsharded database — and
+the *stored* axis (:func:`check_stored_equivalence`): the index file
+written by each of its two producers, read back through
+:class:`~repro.storage.diskindex.DiskMStarIndex` on a 2-page pool, must
+answer like the in-RAM index and load back with every invariant intact.
 
 Deterministic: the same ``(seed, rounds, options)`` always replays the
 same campaign, and every discrepancy reduces to a
@@ -58,6 +62,7 @@ from repro.verify.oracle import (
     check_engine_sequence,
     check_shard_equivalence,
     check_static_suite,
+    check_stored_equivalence,
     check_update_equivalence,
 )
 
@@ -198,6 +203,12 @@ def _run_rounds(report: VerificationReport, profiles, seeds, family_list,
                 graph, stream, num_shards=2 + round_number % 3,
                 profile=round_profile.name, graph_seed=round_seed))
             report.engine_steps += len(stream)
+            # The stored axis: the index file of both producers, read
+            # through a 2-page pool, is the in-RAM index.
+            found.extend(check_stored_equivalence(
+                graph, stream, k=k, profile=round_profile.name,
+                graph_seed=round_seed))
+            report.engine_steps += 2 * len(stream)
             # The updates axis mutates the graph, so it must be the last
             # user of this round's graph: document updates interleave
             # with the stream and caches/indexes must stay exact.

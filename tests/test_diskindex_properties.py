@@ -12,15 +12,28 @@ counters: a cold point lookup performs **at most one** physical page
 read (the page directory bisect happens in RAM — stronger than the
 O(log n) pages a disk-resident B-tree descent would need), and a cold
 sorted multi-get reads each touched page exactly once.
+
+The index file has two producers, so :meth:`DiskMStarIndex.to_memory`
+checks the cross-component links it reads instead of trusting them:
+``TestLoadChecksLinks`` doctors a built file record by record (valid
+pages, valid CRCs, wrong content) and demands a ``ValueError`` at load.
 """
 
 import os
 import struct
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.indexes.mstarindex import MStarIndex
+from repro.queries.pathexpr import PathExpression
+from repro.storage.diskindex import (
+    DiskMStarIndex,
+    decode_index_node,
+    encode_index_node,
+)
 from repro.storage.segment import Segment, SegmentWriter
 
 
@@ -147,3 +160,75 @@ class TestReadAmplification:
                     assert segment.get(key) == reference[key]
                 assert segment.pool.reads == reads_cold
                 assert segment.pool.hits >= len(reference)
+
+
+def rewrite_index_file(source, target, edit):
+    """Copy an ``mstar-nodes`` file record by record through
+    ``edit(component, record)``, which may change the decoded record."""
+    with Segment(source, decode_value=decode_index_node) as segment:
+        stride = segment.meta["stride"]
+        with SegmentWriter(target, page_size=128,
+                           meta=segment.meta) as writer:
+            for key, record in segment.iter_all():
+                record = dict(record)
+                edit(key // stride, record)
+                writer.add(key, encode_index_node(
+                    record["label_id"], record["k"], record["extent"],
+                    record["children"], record["subnodes"]))
+
+
+def drop_links_of_component_0(component, record):
+    if component == 0:
+        record["subnodes"] = ()
+
+
+def link_below_the_last_component(component, record):
+    if component == 3:
+        record["subnodes"] = (0,)
+
+
+def link_every_node_to_subnode_0(component, record):
+    if component == 0:
+        record["subnodes"] = (0,)
+
+
+def overstate_k(component, record):
+    if component == 1:
+        record["k"] = 2
+
+
+class TestLoadChecksLinks:
+    @pytest.fixture
+    def built(self, fig1, tmp_path):
+        index = MStarIndex(fig1)
+        for text in ("//site/people/person",
+                     "//auctions/auction/seller/person"):
+            expr = PathExpression.parse(text)
+            index.refine(expr, index.query(expr))
+        assert len(index.components) == 4
+        path = str(tmp_path / "built.seg")
+        DiskMStarIndex.build(index, path, page_size=128).close()
+        return path
+
+    def test_faithful_copy_loads(self, fig1, built, tmp_path):
+        copy = str(tmp_path / "copy.seg")
+        rewrite_index_file(built, copy, lambda component, record: None)
+        with DiskMStarIndex(copy, fig1) as disk:
+            disk.to_memory().check_invariants()
+
+    @pytest.mark.parametrize("edit, complaint", [
+        (drop_links_of_component_0,
+         "component 1 has 13 nodes that are the subnode of no node"),
+        (link_below_the_last_component, "component 3: subnode link"),
+        (link_every_node_to_subnode_0, "component 0: subnode link"),
+        (overstate_k, "component 1 holds a node whose k exceeds 1"),
+    ])
+    def test_doctored_links_refused_at_load(self, fig1, built, tmp_path,
+                                            edit, complaint):
+        doctored = str(tmp_path / "doctored.seg")
+        rewrite_index_file(built, doctored, edit)
+        with DiskMStarIndex(doctored, fig1) as disk:
+            with pytest.raises(ValueError) as excinfo:
+                disk.to_memory()
+        assert doctored in str(excinfo.value)
+        assert complaint in str(excinfo.value)

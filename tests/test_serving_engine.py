@@ -315,6 +315,17 @@ class TestWriterPath:
         assert serving.epoch == 1
         assert serving.query(expr).answers == {4, 5}
 
+    def test_inner_engine_keeps_no_result_cache(self, simple_tree):
+        # The inner engine only runs inside refine_pending, where every
+        # replay it stored was invalidated by the refinement it caused.
+        serving = ServingEngine(simple_tree)
+        expr = as_expression("//a/c")
+        serving.query(expr)
+        assert serving.refine_pending() == 1
+        assert serving.query(expr).answers == {4, 5}
+        assert serving.engine._cache == {}
+        assert len(serving._cache) == 1  # the serving cache still works
+
     def test_refine_pending_counts_refinements_not_replays(
             self, simple_tree):
         """A replay the wrapped engine declines to refine (its own

@@ -118,6 +118,21 @@ class TestMStarSerialization:
                            match="v1 index file.*rebuild it with"):
             DiskMStarIndex(path, fig1)
 
+    @pytest.mark.parametrize("name, kind", [
+        ("retired_fig1_ak_extents.seg", "ak-extents"),
+        ("retired_fig1_hierarchy.seg", "mstar-hierarchy"),
+    ])
+    def test_retired_kinds_refused_with_rebuild_message(self, fig1, name,
+                                                        kind):
+        """Segments of the two retired kinds (written by the last build
+        that had them) open as segments but are refused as indexes."""
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "fixtures", "storage", name)
+        with pytest.raises(ValueError,
+                           match=f"'{kind}' segment.*rebuild the file "
+                                 f"with 'repro ooc'"):
+            DiskMStarIndex(path, fig1)
+
 
 class TestPager:
     def test_page_file_reads_and_counts(self, small_xmark, refined_mstar,

@@ -33,7 +33,7 @@ from repro.storage.segment import (
     SegmentFormatError,
     SegmentWriter,
 )
-from repro.storage.spill import build_ak_segment
+from repro.storage.spill import build_hierarchy_segment
 
 
 class FaultyFile:
@@ -216,11 +216,11 @@ class TestDiskFull:
         path = str(tmp_path / "full.seg")
         opener = faulty_opener(capacity_bytes=64)
         with pytest.raises(OSError) as excinfo:
-            build_ak_segment(fig1, 2, path, budget_bytes=4096,
-                             opener=opener)
+            build_hierarchy_segment(fig1, 2, path, budget_bytes=4096,
+                                    opener=opener)
         assert excinfo.value.errno == errno.ENOSPC
         with pytest.raises(SegmentError):
-            Segment(path)
+            DiskMStarIndex(path, fig1)
 
     def test_enospc_during_writer_finish(self, tmp_path):
         path = str(tmp_path / "full.seg")

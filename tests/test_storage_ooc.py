@@ -3,12 +3,13 @@
 Three contracts from the PR 9 data plane:
 
 * **spill construction is exact** — `SpillSorter` under a byte budget
-  merges to the same sorted stream an in-RAM sort produces, and the
-  A(k)/M*(k) segment builders land digest-identical to the in-RAM
-  builders while tracking a working set bounded by the budget;
-* **segment-backed queries are the in-RAM queries** —
-  `SegmentAkIndex` answers byte-identically to `AkIndex` with extents
-  paged in on demand;
+  merges to the same sorted stream an in-RAM sort produces, and
+  `build_hierarchy_segment` lands digest-identical to the in-RAM
+  k-bisimulation levels while tracking a working set bounded by the
+  budget;
+* **stored queries are the in-RAM queries** — `DiskMStarIndex` over the
+  spill-built file answers byte-identically to `AkIndex` with index
+  nodes paged in on demand;
 * **pins beat eviction** — a pinned page survives any cache pressure
   (including a concurrent pin/evict hammer) and scan admission protects
   the hot set.
@@ -22,16 +23,14 @@ import pytest
 
 from repro.indexes.aindex import AkIndex
 from repro.queries.workload import Workload
+from repro.storage.diskindex import DiskMStarIndex
 from repro.storage.pager import BufferPool
 from repro.storage.segment import Segment, SegmentWriter
 from repro.storage.spill import (
     SpillSorter,
-    build_ak_segment,
     build_hierarchy_segment,
-    inram_ak_digest,
     inram_hierarchy_digest,
 )
-from repro.indexes.segmented import SegmentAkIndex
 
 
 def make_segment(path, num_keys=64, page_size=128):
@@ -68,28 +67,25 @@ class TestSpillSorter:
             list(sorter.merge())
             assert sorter.peak_bytes <= 1.5 * budget
 
-    def test_budget_env_validation(self, monkeypatch):
-        from repro.storage.spill import BUDGET_ENV, budget_from_env
-
-        monkeypatch.setenv(BUDGET_ENV, "not-a-number")
-        with pytest.raises(ValueError, match="integer byte count"):
-            budget_from_env()
-        monkeypatch.setenv(BUDGET_ENV, "512")
+    def test_budget_below_minimum_rejected(self):
         with pytest.raises(ValueError, match=">= 4096"):
-            budget_from_env()
-        monkeypatch.setenv(BUDGET_ENV, "8192")
-        assert budget_from_env() == 8192
+            SpillSorter(budget_bytes=512)
 
 
 class TestSpillBuilders:
     def test_ak_build_digest_equals_inram(self, small_xmark, tmp_path):
-        path = str(tmp_path / "ak.seg")
-        report = build_ak_segment(small_xmark, 3, path,
-                                  budget_bytes=4096, page_size=512)
+        # A(k) is the file's last component: same extents, same node
+        # ids as the in-RAM AkIndex, built inside the budget.
+        path = str(tmp_path / "mstar.seg")
+        report = build_hierarchy_segment(small_xmark, 3, path,
+                                         budget_bytes=4096, page_size=512)
         assert report.spills > 0
         assert report.peak_ratio <= 1.5
-        assert report.digest == inram_ak_digest(AkIndex(small_xmark, 3))
-        assert report.records == len(AkIndex(small_xmark, 3).index.nodes)
+        ram_nodes = AkIndex(small_xmark, 3).index.nodes
+        with DiskMStarIndex(path, small_xmark) as disk:
+            finest = disk.to_memory().components[3].nodes
+        assert {nid: list(node.extent) for nid, node in finest.items()} == \
+            {nid: list(node.extent) for nid, node in ram_nodes.items()}
 
     def test_hierarchy_build_digest_equals_inram(self, small_xmark,
                                                  tmp_path):
@@ -98,43 +94,42 @@ class TestSpillBuilders:
                                          budget_bytes=8192, page_size=512)
         assert report.spills > 0
         assert report.digest == inram_hierarchy_digest(small_xmark, 3)
+        with DiskMStarIndex(path, small_xmark) as disk:
+            memory = disk.to_memory()
+        memory.check_invariants()
+        assert report.records == sum(len(component.nodes)
+                                     for component in memory.components)
 
     def test_segment_queries_match_inram_index(self, small_xmark, tmp_path):
-        path = str(tmp_path / "ak.seg")
-        build_ak_segment(small_xmark, 3, path, budget_bytes=4096,
-                         page_size=512)
+        path = str(tmp_path / "mstar.seg")
+        build_hierarchy_segment(small_xmark, 3, path, budget_bytes=4096,
+                                page_size=512)
         ram_index = AkIndex(small_xmark, 3)
         workload = Workload.generate(small_xmark, num_queries=40,
                                      max_length=6, seed=3)
-        with SegmentAkIndex(path, small_xmark) as segment_index:
+        with DiskMStarIndex(path, small_xmark) as disk_index:
             for expr in workload.queries:
-                assert segment_index.query(expr).answers == \
+                assert disk_index.query(expr).answers == \
                     ram_index.query(expr).answers
-            reads, hits = segment_index.io_stats()
-            assert reads > 0  # extents really came from disk
+            reads, hits = disk_index.io_stats()
+            assert reads > 0  # index nodes really came from disk
 
     def test_validation_path_on_low_resolution(self, small_xmark, tmp_path):
         # k=1 cannot cover long queries; answers must still match
         # because imprecise extents validate against the data graph.
-        path = str(tmp_path / "ak1.seg")
-        build_ak_segment(small_xmark, 1, path, budget_bytes=4096,
-                         page_size=512)
+        path = str(tmp_path / "mstar1.seg")
+        build_hierarchy_segment(small_xmark, 1, path, budget_bytes=4096,
+                                page_size=512)
         ram_index = AkIndex(small_xmark, 1)
         workload = Workload.generate(small_xmark, num_queries=30,
                                      max_length=6, seed=9)
         validated = 0
-        with SegmentAkIndex(path, small_xmark) as segment_index:
+        with DiskMStarIndex(path, small_xmark) as disk_index:
             for expr in workload.queries:
-                result = segment_index.query(expr)
+                result = disk_index.query(expr)
                 assert result.answers == ram_index.query(expr).answers
                 validated += bool(result.validated)
         assert validated > 0  # the imprecise path actually ran
-
-    def test_wrong_kind_rejected(self, small_xmark, tmp_path):
-        path = str(tmp_path / "hierarchy.seg")
-        build_hierarchy_segment(small_xmark, 2, path, budget_bytes=4096)
-        with pytest.raises(ValueError, match="not an A\\(k\\)"):
-            SegmentAkIndex(path, small_xmark)
 
 
 class TestPinning:

@@ -7,10 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.indexes.mstarindex import MStarIndex
+from repro.indexes.partition import kbisimulation_levels
 from repro.queries.evaluator import evaluate_on_data_graph
 from repro.queries.workload import Workload
 from repro.storage.diskindex import DiskMStarIndex
 from repro.storage.serialization import load_graph, save_graph
+from repro.storage.spill import build_hierarchy_segment, inram_hierarchy_digest
 from tests.test_properties import graphs
 
 SETTINGS = settings(max_examples=15, deadline=None,
@@ -102,3 +104,38 @@ class TestDiskIndexProperties:
                 loaded = disk.to_memory()
         assert loaded.size_nodes() == index.size_nodes()
         assert loaded.size_edges() == index.size_edges()
+
+
+class TestSpillBuiltIndexProperties:
+    @SETTINGS
+    @given(graphs(), st.integers(0, 3), st.integers(0, 99),
+           st.sampled_from([64, 128, 512, 4096]))
+    def test_spill_built_file_is_the_bisimulation_hierarchy(
+            self, graph, k, seed, page_size):
+        """The second producer of the index file: component ``i`` of the
+        file it writes is the partition ``kbisimulation_levels[i]`` (the
+        digest says so before the file is opened, the loaded components
+        after), every invariant of an M*(k)-index holds on it, and the
+        one reader answers from it like forward navigation."""
+        queries = list(Workload.generate(graph, num_queries=6, max_length=4,
+                                         seed=seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "i.seg")
+            report = build_hierarchy_segment(graph, k, path,
+                                             budget_bytes=4096,
+                                             page_size=page_size, tmpdir=tmp)
+            assert report.digest == inram_hierarchy_digest(graph, k)
+            with DiskMStarIndex(path, graph, buffer_pages=2) as disk:
+                for expr in queries:
+                    assert disk.query(expr).answers == \
+                        evaluate_on_data_graph(graph, expr), expr
+                loaded = disk.to_memory()
+        loaded.check_invariants()
+        for component, blocks in zip(loaded.components,
+                                     kbisimulation_levels(graph, k),
+                                     strict=True):
+            by_block: dict[int, set[int]] = {}
+            for oid, block in enumerate(blocks):
+                by_block.setdefault(block, set()).add(oid)
+            assert sorted(map(sorted, component.extents())) == \
+                sorted(map(sorted, by_block.values()))

@@ -30,6 +30,7 @@ from repro.verify.oracle import (
     check_engine_sequence,
     check_query,
     check_static_suite,
+    check_stored_equivalence,
     check_structure,
     refinable_fups,
     resolve_families,
@@ -323,6 +324,38 @@ class TestCacheEquivalence:
             fig1, stream,
             extractor_factory=lambda: FupExtractor(threshold=2,
                                                    window=3)) == []
+
+
+class TestStoredEquivalence:
+    def test_clean_on_fuzzed_graphs(self):
+        for profile, seed in [(GRAPH_PROFILES[0], 21), (GRAPH_PROFILES[2], 22),
+                              (GRAPH_PROFILES[3], 23)]:
+            graph = random_data_graph(profile, seed).freeze()
+            stream = random_fup_stream(graph, 20, seed)
+            assert check_stored_equivalence(
+                graph, stream, profile=profile.name, graph_seed=seed) == []
+
+    def test_detects_a_producer_that_drops_edges(self, fig1, monkeypatch):
+        """A spill builder that loses one child edge per node of I1 still
+        writes a well-formed file; only the answers give it away."""
+        from repro.storage import spill
+
+        real = spill.write_index_nodes
+
+        def lossy(writer, graph, rows):
+            real(writer, graph, (
+                (component, dense, label, k, extent,
+                 children[:-1] if component == 1 else children, subnodes)
+                for component, dense, label, k, extent, children, subnodes
+                in rows))
+
+        monkeypatch.setattr(spill, "write_index_nodes", lossy)
+        stream = [PathExpression.parse(text) for text in
+                  ("//people/person", "//item/name", "//seller/person")]
+        found = check_stored_equivalence(fig1, stream, graph_seed=5)
+        assert found
+        assert {d.kind for d in found} <= {"stored", "error"}
+        assert {d.family for d in found} == {"stored[spill]"}
 
 
 class TestRunner:
