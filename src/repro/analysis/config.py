@@ -37,6 +37,7 @@ GUARDED_ATTRIBUTES: Mapping[str, Mapping[str, str]] = MappingProxyType({
         "_cache": "_cache_lock",
         "_pending": "_fup_lock", "_pending_set": "_fup_lock",
     }),
+    "ShardedEngine": MappingProxyType({"_merged": "_merged_lock"}),
 })
 
 #: Call names that mutate a container in place (flagged on guarded

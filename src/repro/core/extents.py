@@ -39,6 +39,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from operator import itemgetter
 
 __all__ = [
     "Extent",
@@ -114,6 +115,32 @@ class Extent:
         if isinstance(values, array) and values.typecode == _TYPECODE:
             return cls(values)
         return cls(array(_TYPECODE, values))
+
+    @classmethod
+    def from_disjoint_runs(cls, runs: Iterable["Extent"],
+                           size: int) -> "Extent | None":
+        """The union of ``runs``, given the union's ``size`` as witness.
+
+        Extents whose lengths add up to the size of their union are
+        pairwise disjoint, so their union is their concatenation put in
+        order: a single run is returned itself, runs that do not
+        interleave are concatenated by first member, and only runs that
+        do are sorted (timsort merges the ascending stretches it finds).
+        ``None`` when the lengths add up to anything else — the runs
+        overlap, or ``size`` counted a different set.
+        """
+        runs = [run for run in runs if run]
+        if sum(map(len, runs)) != size:
+            return None
+        if len(runs) == 1:
+            return runs[0]
+        data = array(_TYPECODE)
+        in_order = True
+        for part in sorted([run._data for run in runs], key=itemgetter(0)):
+            if data and part[0] <= data[-1]:
+                in_order = False
+            data.extend(part)
+        return cls(data if in_order else array(_TYPECODE, sorted(data)))
 
     def copy(self) -> "Extent":
         """Pin a snapshot of this extent.

@@ -75,6 +75,27 @@ class QueryResult:
     validated: bool = False
 
 
+def answer_run(result: QueryResult) -> Extent:
+    """``result.answers`` as one immutable ascending run.
+
+    An unvalidated answer *is* the union of the target nodes' extents,
+    and those are ascending runs already, so the run is put together
+    from them (:meth:`Extent.from_disjoint_runs`: shared, concatenated
+    or merged) instead of ordering every member of a hash set.  Target
+    extents that overlap, or targets that do not carry the whole
+    answer, do not add up to ``len(answers)``; that case and validated
+    results are canonicalised from the answer set itself.
+    """
+    answers = result.answers
+    if not result.validated:
+        extents = [node.extent for node in result.target_nodes]
+        if all(isinstance(extent, Extent) for extent in extents):
+            run = Extent.from_disjoint_runs(extents, len(answers))
+            if run is not None:
+                return run
+    return Extent.from_iterable(answers)
+
+
 @dataclass
 class _TargetNode:
     """Materialised view of one on-disk index node (query result detail)."""

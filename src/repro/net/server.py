@@ -321,7 +321,7 @@ class IndexServer:
             result = self.engine.query(body["expr"],
                                        timeout=self._timeout_for(request))
             return _p.Status.OK, {
-                "answers": sorted(result.answers),
+                "answers": result.answers.tolist(),
                 "validated": result.validated,
                 "epoch": result.epoch,
                 "degraded": result.degraded,

@@ -29,6 +29,11 @@ versions, mutation counters, and the maintenance ``epoch`` of every
 component, so a cached answer can never be served across a document
 update — the property-based test suite asserts exactly this.
 
+An answer is one immutable sorted run (:class:`~repro.core.extents.Extent`),
+built once when the cache is filled and handed to every later caller
+by reference: a hit copies nothing, and sharing is safe because the
+run has no mutator.
+
 Worker threads buy *overlap*, not CPU parallelism: under CPython's GIL
 the index evaluation serialises, but the per-query client I/O a real
 deployment pays (request parsing, response writing, pager reads)
@@ -47,11 +52,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.engine import AdaptiveIndexEngine
+from repro.core.extents import Extent
 from repro.core.fup import FupExtractor
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
 from repro.indexes import maintenance as _maintenance
-from repro.indexes.base import QueryResult
+from repro.indexes.base import QueryResult, answer_run
 from repro.indexes.maintenance import SubtreeSpec
 from repro.indexes.mstarindex import MStarIndex
 from repro.obs import metrics as _metrics
@@ -77,10 +83,15 @@ class ServedResult:
     ``timed_out`` marks results returned after their deadline passed
     (the answer is still correct — the serving layer never trades
     exactness for latency).
+
+    ``answers`` is an immutable ascending run that the engine may hand
+    to any number of callers (it is the cached object itself on a hit):
+    it compares and combines with plain sets, and ``answers.to_set()``
+    is the way to get something mutable.
     """
 
     expr: PathExpression
-    answers: set[int]
+    answers: Extent
     validated: bool
     epoch: int
     cost: CostCounter = field(default_factory=CostCounter)
@@ -165,7 +176,7 @@ class ServingStats:
 class _CacheEntry:
     __slots__ = ("token", "answers", "validated", "epoch")
 
-    def __init__(self, token: tuple, answers: frozenset[int],
+    def __init__(self, token: tuple, answers: Extent,
                  validated: bool, epoch: int) -> None:
         self.token = token
         self.answers = answers
@@ -202,6 +213,14 @@ class PinnedSnapshot:
         """Ground truth at the pinned epoch (data-graph navigation)."""
         return evaluate_on_data_graph(self._reader.graph,
                                       as_expression(expr))
+
+
+def _fifo_store(table: dict, key: Any, value: Any, bound: int) -> None:
+    """``table[key] = value`` with at most ``bound`` keys: the oldest
+    insertion goes first.  The caller holds the table's lock."""
+    if key not in table and len(table) >= bound:
+        table.pop(next(iter(table)))
+    table[key] = value
 
 
 def _serve_batch(query: "Callable[..., ServedResult]",
@@ -283,6 +302,11 @@ class SnapshotReader:
     index: Any
     #: Gauge tracking queries waiting for a :meth:`serve` worker.
     _m_queue_depth: "_metrics.Gauge | None" = None
+    #: Does the engine keep answers between queries?  Set by the engine;
+    #: when false the exact path remembers nothing either.
+    cache_enabled = False
+    #: Bound of each answer map the engine keeps (FIFO eviction).
+    _cache_size = 1024
 
     def __init__(self, graph: DataGraph, *, max_attempts: int,
                  default_timeout: float | None,
@@ -302,6 +326,10 @@ class SnapshotReader:
         self._now = time.monotonic if now is None else now
         self.stats = ServingStats()
         self.clock = EpochClock()
+        # Exact-path answers of one epoch; read and written only inside
+        # ``clock.pause_writers()``, whose mutex is their lock.
+        self._exact_epoch = -1
+        self._exact_answers: dict[PathExpression, Extent] = {}
 
     @property
     def epoch(self) -> int:
@@ -312,24 +340,27 @@ class SnapshotReader:
     # What an engine supplies
     # ------------------------------------------------------------------
     def _attempt(self, expr: PathExpression, deadline: float | None) -> (
-            "tuple[set[int], bool, bool, CostCounter, tuple | None]"):
+            "tuple[Extent, bool, bool, CostCounter, tuple | None]"):
         """One optimistic evaluation against the live structures:
         ``(answers, validated, cache_hit, cost, token)``.
 
         Runs without the writer mutex, so it may observe a half-applied
         write; the retry loop discards it then (any exception it raises
-        is treated the same way).  ``answers`` must already be a copy
-        the caller may keep — taken here, *before* validation, because
-        a later write may recycle the structure it was read from.  A
-        non-``None`` ``token`` asks for the answer to be published
-        through :meth:`_cache_store` once the read has validated.
+        is treated the same way).  ``answers`` is an immutable run that
+        goes to the caller — and to :meth:`_cache_store`, then to every
+        later hit — as the same object; it must be complete here,
+        *before* validation, because a later write may recycle the
+        structure it was read from.  A non-``None`` ``token`` asks for
+        the answer to be published through :meth:`_cache_store` once
+        the read has validated.
         """
         raise NotImplementedError
 
     def _cache_store(self, expr: PathExpression, token: tuple,
-                     answers: set[int], validated: bool, epoch: int) -> None:
-        """Publish a validated miss under ``token`` (engines whose
-        :meth:`_attempt` never returns a token need not implement it)."""
+                     answers: Extent, validated: bool, epoch: int) -> None:
+        """Publish a validated miss under ``token``, keeping ``answers``
+        itself (engines whose :meth:`_attempt` never returns a token
+        need not implement it)."""
         raise NotImplementedError
 
     def _observe(self, result: ServedResult) -> None:
@@ -432,19 +463,37 @@ class SnapshotReader:
 
         ``timed_out`` is classified by :meth:`query` once the result is
         final — the exact path only marks *how* it was answered.
+
+        An engine that caches remembers the answers computed here for
+        the current epoch: under the writer mutex the epoch cannot
+        move, so an answer remembered at this epoch is this epoch's
+        answer, and the first query of another epoch drops them all.  A
+        remembered answer is a cache hit costing one visit.
         """
         tracer = _trace.TRACER
         span = tracer.span(f"{self._layer}.degraded", query=str(expr)) \
             if tracer.enabled else _trace.NULL_SPAN
         with span:
             with self.clock.pause_writers() as epoch:
-                cost = CostCounter()
-                answers = evaluate_on_data_graph(self.graph, expr, cost)
+                if self._exact_epoch != epoch:
+                    self._exact_epoch = epoch
+                    self._exact_answers = {}
+                answers = self._exact_answers.get(expr)
+                cache_hit = answers is not None
+                if cache_hit:
+                    cost = CostCounter(index_visits=1)
+                else:
+                    cost = CostCounter()
+                    answers = Extent.from_iterable(
+                        evaluate_on_data_graph(self.graph, expr, cost))
+                    if self.cache_enabled:
+                        _fifo_store(self._exact_answers, expr, answers,
+                                    self._cache_size)
             span.tag(epoch=epoch)
         return ServedResult(expr=expr, answers=answers, validated=True,
                             epoch=epoch, cost=cost, attempts=attempts,
-                            conflicts=conflicts, degraded=True,
-                            fallback=fallback)
+                            conflicts=conflicts, cache_hit=cache_hit,
+                            degraded=True, fallback=fallback)
 
     def serve(self, queries: "Iterable[PathExpression | str]",
               workers: int = 4, timeout: float | None = _UNSET,
@@ -581,7 +630,7 @@ class ServingEngine(SnapshotReader):
     # Reader path (the protocol around these is SnapshotReader's)
     # ------------------------------------------------------------------
     def _attempt(self, expr: PathExpression, deadline: float | None) -> (
-            "tuple[set[int], bool, bool, CostCounter, tuple | None]"):
+            "tuple[Extent, bool, bool, CostCounter, tuple | None]"):
         """Cache probe, then the index (``deadline`` is the loop's)."""
         token = None
         if self.cache_enabled:
@@ -589,20 +638,17 @@ class ServingEngine(SnapshotReader):
             with self._cache_lock:
                 entry = self._cache.get(expr)
             if entry is not None and entry.token == token:
-                return (set(entry.answers), entry.validated, True,
+                return (entry.answers, entry.validated, True,
                         CostCounter(index_visits=1), token)
         cost = CostCounter()
         result = self.index.query(expr, cost)
-        return set(result.answers), result.validated, False, cost, token
+        return answer_run(result), result.validated, False, cost, token
 
     def _cache_store(self, expr: PathExpression, token: tuple,
-                     answers: set[int], validated: bool, epoch: int) -> None:
-        entry = _CacheEntry(token, frozenset(answers), validated, epoch)
+                     answers: Extent, validated: bool, epoch: int) -> None:
+        entry = _CacheEntry(token, answers, validated, epoch)
         with self._cache_lock:
-            if expr not in self._cache and \
-                    len(self._cache) >= self._cache_size:
-                self._cache.pop(next(iter(self._cache)))  # FIFO eviction
-            self._cache[expr] = entry
+            _fifo_store(self._cache, expr, entry, self._cache_size)
 
     def _observe(self, result: ServedResult) -> None:
         """Registry counters and FUP queueing — kept off the shared path

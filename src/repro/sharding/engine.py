@@ -14,15 +14,22 @@ top, running the same read protocol as its shards — and supplies only
 the fan-out and the cross-edge routing:
 
 * **readers** fan a query to every shard under an optimistic combiner
-  read and merge the per-shard answers with the compact data plane's
-  sorted-extent union kernel — each shard's local oids map to global
-  oids through a monotone table, so its sorted local answer maps to a
-  sorted global run and the merge is pure
-  :func:`~repro.core.extents.extent_union`;
+  read, on every call, and get each shard's answer as the immutable run
+  its serving cache holds.  The runs are translated to global oids and
+  merged **once per distinct tuple of shard answers**: the combiner
+  keeps, per expression, the shard answer objects it last merged and
+  the merged global run, and while every shard hands back the same
+  objects (which is what their token-guarded caches do until something
+  changes) it returns that run as is.  The merged run is a function of
+  those objects and of the local-to-global tables alone — the tables
+  only ever grow at the end, so a translated oid never changes — which
+  is why the entry needs no epoch and a torn fan-out cannot poison it;
 * queries that could traverse a **cross-shard edge** (an edge leaving a
   placement unit — detected conservatively from the query's label
   pairs) are answered exactly on the combiner's global mirror graph
-  under the writer mutex, counted as ``fallbacks`` in the stats;
+  under the writer mutex, counted as ``fallbacks`` in the stats; the
+  exact path remembers its answers for the current epoch
+  (:meth:`SnapshotReader._exact`);
 * **writers** update the global mirror first (allocating the same oids
   a single-shard engine would, which is what makes the replay digests
   comparable), then route the update to the owning shard.  An update
@@ -39,13 +46,15 @@ document, so a local match is a global match.
 
 from __future__ import annotations
 
+import operator
+import threading
 import time
-from array import array
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from typing import Any
 
-from repro.core.extents import Extent, extent_union
+from repro.core.extents import Extent
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.indexes import maintenance as _maintenance
@@ -53,7 +62,7 @@ from repro.indexes.maintenance import SubtreeSpec
 from repro.indexes.mstarindex import MStarIndex
 from repro.queries.pathexpr import PathExpression, WILDCARD
 from repro.serving.engine import (_UNSET, ServedResult, ServingEngine,
-                                  SnapshotReader)
+                                  SnapshotReader, _fifo_store)
 from repro.sharding.placement import (Placement, SPINE, compute_placement,
                                       shard_of_key, structural_key)
 
@@ -67,9 +76,9 @@ class _Shard:
                  to_global: list[int], g2l: dict[int, int]) -> None:
         self.shard_id = shard_id
         self.serving = serving
-        #: local oid -> global oid; strictly ascending (locals are
-        #: allocated in ascending global order, inserts append), which
-        #: is what keeps mapped answers sorted for ``extent_union``.
+        #: local oid -> global oid; append-only (inserts add at the end,
+        #: nothing is ever rewritten), so a merged answer stays the
+        #: translation of the shard answers it was made from.
         self.to_global = to_global
         self.g2l = g2l
 
@@ -128,6 +137,11 @@ class ShardedEngine(SnapshotReader):
         super().__init__(graph, max_attempts=max_attempts,
                          default_timeout=default_timeout, now=now)
         self.num_shards = num_shards
+        self.cache_enabled = cache
+        # expr -> (shard answer objects last merged, their global run).
+        self._merged: dict[PathExpression,
+                           tuple[tuple[Extent, ...], Extent]] = {}
+        self._merged_lock = threading.Lock()
         self.placement: Placement = compute_placement(graph, num_shards)
         self.construction_s = 0.0
 
@@ -242,12 +256,13 @@ class ShardedEngine(SnapshotReader):
         return False
 
     def _fanout(self, expr: PathExpression, deadline: float | None,
-                ) -> "tuple[set[int], bool, bool, CostCounter, None]":
+                ) -> "tuple[Extent, bool, bool, CostCounter, None]":
         """Query every shard and union the answers in global-oid space.
 
         The trailing ``None`` is the token slot of
-        :meth:`SnapshotReader._attempt`: shards cache, the combiner
-        does not.
+        :meth:`SnapshotReader._attempt`: the combiner publishes nothing
+        under a token — what it keeps is keyed by the shard answers
+        themselves (:meth:`_merge`).
 
         ``deadline`` bounds the *total* fan-out: every shard query gets
         the budget **remaining** at the moment it starts (a slow shard
@@ -259,7 +274,7 @@ class ShardedEngine(SnapshotReader):
         :mod:`repro.serving.engine`, not a combiner-private copy.
         """
         cost = CostCounter()
-        merged: Extent | None = None
+        parts: list[Extent] = []
         validated = False
         cache_hit = True
         for shard in self._shards:
@@ -271,15 +286,34 @@ class ShardedEngine(SnapshotReader):
             cost.add(result.cost)
             validated = validated or result.validated
             cache_hit = cache_hit and result.cache_hit
-            if result.answers:
-                to_global = shard.to_global
-                run = array("i", [to_global[local]
-                                  for local in sorted(result.answers)])
-                extent = Extent.from_sorted(run)
-                merged = extent if merged is None else \
-                    extent_union(merged, extent)
-        answers = set() if merged is None else merged.to_set()
-        return answers, validated, cache_hit, cost, None
+            parts.append(result.answers)
+        return self._merge(expr, tuple(parts)), validated, cache_hit, \
+            cost, None
+
+    def _merge(self, expr: PathExpression,
+               parts: tuple[Extent, ...]) -> Extent:
+        """The shard answers ``parts`` as one run of global oids.
+
+        Translated and merged only when some shard handed back another
+        object than last time: an entry is valid exactly while every
+        part *is* the object it was merged from (holding the old parts
+        keeps their ids from being reused).  Spine nodes live in every
+        shard, so the runs may overlap and the merge deduplicates.
+        """
+        if self.cache_enabled:
+            with self._merged_lock:
+                entry = self._merged.get(expr)
+            if entry is not None and \
+                    all(map(operator.is_, entry[0], parts)):
+                return entry[1]
+        merged = Extent.from_iterable(
+            chain.from_iterable(map(shard.to_global.__getitem__, part)
+                                for shard, part in zip(self._shards, parts)))
+        if self.cache_enabled:
+            with self._merged_lock:
+                _fifo_store(self._merged, expr, (parts, merged),
+                            self._cache_size)
+        return merged
 
     #: The combiner's optimistic evaluation is the fan-out.
     _attempt = _fanout

@@ -591,7 +591,11 @@ def check_shard_equivalence(graph: DataGraph,
     evolves exactly like an unsharded document, so this is the
     single-shard equivalence check in one engine: placement, per-shard
     indexing, extent merging, cross-edge routing, and update routing
-    all have to be right for every query to pass.
+    all have to be right for every query to pass.  Right after each
+    update every expression asked since the previous one is asked
+    again: those are the expressions whose merged runs and remembered
+    exact answers the combiner holds, so one kept across the write
+    shows here.
 
     Also checks placement invariants after every update: each node is
     owned by exactly one shard or the spine, and the per-shard oid maps
@@ -613,6 +617,30 @@ def check_shard_equivalence(graph: DataGraph,
                    f"{type(exc).__name__}: {exc}", **context)]
     rng = random.Random(f"shards:{graph_seed}:{num_shards}")
     last_update = "none yet"
+
+    def ask(expr: PathExpression, step: int) -> bool:
+        """One combiner answer against the mirror; False on a crash."""
+        try:
+            served = sharded.query(expr)
+        except Exception as exc:  # noqa: BLE001 - fuzzing wants the crash
+            discrepancies.append(Discrepancy(
+                kind="error", query=str(expr), step=step,
+                detail=f"sharded query raised {type(exc).__name__} after "
+                       f"{last_update}: {exc}", **context))
+            return False
+        truth = evaluate_on_data_graph(sharded.graph, expr)
+        if served.answers != truth:
+            discrepancies.append(Discrepancy(
+                kind="shard", query=str(expr), step=step,
+                detail=f"combiner diverges from oracle after {last_update}: "
+                       f"false positives "
+                       f"{sorted(served.answers - truth)[:5]}, "
+                       f"false negatives "
+                       f"{sorted(truth - served.answers)[:5]}",
+                **context))
+        return True
+
+    window: list[PathExpression] = []
     for step, expr in enumerate(stream):
         if step and step % update_every == 0:
             from repro.serving.replay import random_update
@@ -643,24 +671,12 @@ def check_shard_equivalence(graph: DataGraph,
                            f"{expected} (spine={spine}) after {last_update}",
                     **context))
                 break
-        try:
-            served = sharded.query(expr)
-        except Exception as exc:  # noqa: BLE001 - fuzzing wants the crash
-            discrepancies.append(Discrepancy(
-                kind="error", query=str(expr), step=step,
-                detail=f"sharded query raised {type(exc).__name__} after "
-                       f"{last_update}: {exc}", **context))
+            if not all(ask(asked, step) for asked in window):
+                break
+            window = []
+        if not ask(expr, step):
             break
-        truth = evaluate_on_data_graph(sharded.graph, expr)
-        if served.answers != truth:
-            discrepancies.append(Discrepancy(
-                kind="shard", query=str(expr), step=step,
-                detail=f"combiner diverges from oracle after {last_update}: "
-                       f"false positives "
-                       f"{sorted(served.answers - truth)[:5]}, "
-                       f"false negatives "
-                       f"{sorted(truth - served.answers)[:5]}",
-                **context))
+        window.append(expr)
     return discrepancies
 
 

@@ -93,6 +93,40 @@ class TestSplitBy:
             Extent.from_iterable([1, 2, 3]).split_by([0, 1])
 
 
+class TestFromDisjointRuns:
+    @given(values=oid_sets, data=st.data())
+    @SETTINGS
+    def test_is_split_by_undone(self, values, data):
+        """Any grouping of an extent (contiguous or interleaved runs)
+        is put back together, given the right size."""
+        extent = Extent.from_iterable(values)
+        keys = data.draw(st.lists(st.integers(0, 3), min_size=len(extent),
+                                  max_size=len(extent)))
+        runs = list(extent.split_by(keys).values())
+        joined = Extent.from_disjoint_runs(iter(runs), len(extent))
+        assert joined is not None and joined.tolist() == extent.tolist()
+        assert Extent.from_disjoint_runs(runs, len(extent) + 1) is None
+
+    def test_one_non_empty_run_is_returned_itself(self):
+        run = Extent.from_iterable([3, 1, 2])
+        empty = Extent.from_sorted([])
+        assert Extent.from_disjoint_runs([empty, run, empty], 3) is run
+        assert Extent.from_disjoint_runs([], 0).tolist() == []
+
+    def test_runs_in_any_order_that_do_not_interleave_are_joined(self):
+        runs = [Extent.from_sorted(run) for run in ([7, 8], [1, 2], [4])]
+        assert Extent.from_disjoint_runs(runs, 5).tolist() == [1, 2, 4, 7, 8]
+
+    def test_interleaved_runs_are_merged(self):
+        runs = [Extent.from_sorted(run) for run in ([1, 9], [2, 3], [5, 12])]
+        assert Extent.from_disjoint_runs(runs, 6).tolist() == \
+            [1, 2, 3, 5, 9, 12]
+
+    def test_overlapping_runs_do_not_add_up(self):
+        runs = [Extent.from_sorted(run) for run in ([1, 5], [5, 6])]
+        assert Extent.from_disjoint_runs(runs, 3) is None
+
+
 class TestSetAlgebraProperties:
     @given(a=oid_sets, b=oid_sets)
     @SETTINGS

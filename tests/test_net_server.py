@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.core.extents import Extent
 from repro.net import protocol as _p
 from repro.net.client import LoadShedError, NetClient, NetError, RemoteError
 from repro.net.server import IndexServer
@@ -241,7 +242,7 @@ class _BlockingEngine:
         assert self.release.wait(timeout=10.0), "never released"
 
         class _Result:
-            answers = {0}
+            answers = Extent.from_sorted([0])
             validated = True
             epoch = 0
             degraded = False

@@ -9,6 +9,7 @@ import pytest
 
 from tests.conftest import random_graph
 from repro.core.engine import AdaptiveIndexEngine
+from repro.core.extents import Extent
 from repro.core.fup import FupExtractor
 from repro.indexes.mstarindex import MStarIndex
 from repro.indexes.oneindex import OneIndex
@@ -146,6 +147,39 @@ class TestServingQueries:
         assert again.answers == first.answers
         assert serving.stats.snapshot()["cache_hits"] == 1
 
+    def test_hits_share_one_immutable_run(self, simple_tree):
+        """A hit hands out the cached object itself; that is safe only
+        because nothing on it can change it."""
+        serving = ServingEngine(simple_tree)
+        filled = serving.query("//a/c")
+        first = serving.query("//a/c")
+        second = serving.query("//a/c")
+        assert first.cache_hit and second.cache_hit
+        assert first.answers is second.answers is filled.answers
+        assert isinstance(first.answers, Extent)
+        assert first.answers.tolist() == [4, 5]
+        mutators = {"add", "discard", "remove", "pop", "clear", "update",
+                    "append", "extend", "insert", "sort", "reverse",
+                    "difference_update", "intersection_update",
+                    "symmetric_difference_update",
+                    "__setitem__", "__delitem__", "__ior__", "__iand__",
+                    "__isub__", "__ixor__", "__iadd__"}
+        assert not mutators & set(dir(first.answers))
+        with pytest.raises(AttributeError):
+            first.answers.extra = 1  # type: ignore[attr-defined]
+        mutable = first.answers.to_set()
+        mutable.add(99)
+        assert serving.query("//a/c").answers == {4, 5}
+
+    def test_cache_off_remembers_nothing(self, simple_tree):
+        serving = ServingEngine(simple_tree, cache=False)
+        first = serving.query("//a/c")
+        again = serving.query("//a/c")
+        assert not first.cache_hit and not again.cache_hit
+        assert again.cost.total > 1
+        assert again.answers == first.answers == {4, 5}
+        assert serving.stats.snapshot()["cache_hits"] == 0
+
     def test_update_invalidates_serving_cache(self, simple_tree):
         serving = ServingEngine(simple_tree)
         before = serving.query("//a/c").answers
@@ -233,20 +267,65 @@ class TestConflictAndDegradation:
         """When every optimistic attempt conflicts, the query degrades to
         the locked data-graph path — late but exact, never wrong."""
         serving = ServingEngine(simple_tree, max_attempts=2, cache=False)
-        original = serving.index.query
-
-        def always_torn(expr, counter=None, **kwargs):
-            raise KeyError("permanently torn")
-
-        serving.index.query = always_torn  # type: ignore[method-assign]
-        try:
-            result = serving.query("//a/c")
-        finally:
-            del serving.index.query
+        self._always_degrading(serving)
+        result = serving.query("//a/c")
         assert result.degraded
         assert result.validated
         assert result.answers == {4, 5}
         assert serving.stats.snapshot()["degraded"] == 1
+
+    @staticmethod
+    def _always_degrading(serving):
+        """Every optimistic attempt on ``serving`` is a torn read."""
+        def always_torn(expr, counter=None, **kwargs):
+            raise KeyError("permanently torn")
+
+        serving.index.query = always_torn  # type: ignore[method-assign]
+
+    def test_exact_path_remembers_its_epochs_answers(self, simple_tree):
+        """The second degraded answer of an epoch is the first one's
+        object, reported as a one-visit hit; a commit drops it."""
+        serving = ServingEngine(simple_tree, max_attempts=1)
+        self._always_degrading(serving)
+        first = serving.query("//a/c")
+        again = serving.query("//a/c")
+        assert first.degraded and not first.cache_hit
+        assert first.cost.data_visits > 0
+        assert again.degraded and again.cache_hit and again.validated
+        assert again.answers is first.answers
+        assert (again.cost.index_visits, again.cost.data_visits) == (1, 0)
+        assert again.epoch == first.epoch == 0
+
+        serving.insert_subtree(0, ("a", [("c", [])]))
+        after = serving.query("//a/c")
+        assert after.degraded and not after.cache_hit
+        assert after.epoch == 1
+        assert after.answers == {4, 5, 8}
+        assert first.answers == {4, 5}
+        stats = serving.stats.snapshot()
+        assert stats["queries"] == stats["cache_hits"] + stats["misses"] == 3
+        assert stats["cache_hits"] == 1 and stats["degraded"] == 3
+
+    def test_exact_path_remembers_nothing_with_the_cache_off(
+            self, simple_tree):
+        serving = ServingEngine(simple_tree, max_attempts=1, cache=False)
+        self._always_degrading(serving)
+        first = serving.query("//a/c")
+        again = serving.query("//a/c")
+        assert first.degraded and again.degraded
+        assert not first.cache_hit and not again.cache_hit
+        assert again.cost.total > 1
+        assert again.answers == first.answers == {4, 5}
+
+    def test_exact_path_memory_is_bounded(self, simple_tree):
+        serving = ServingEngine(simple_tree, max_attempts=1, cache_size=2)
+        self._always_degrading(serving)
+        for text in ("//a/c", "//b/c", "//r/a", "//r/b"):
+            serving.query(text)
+        assert [str(expr) for expr in serving._exact_answers] == \
+            ["//r/a", "//r/b"]
+        assert not serving.query("//a/c").cache_hit
+        assert serving.query("//a/c").cache_hit
 
     def test_long_write_window_times_out_then_degrades(self, simple_tree):
         """A reader that cannot get a clean window before its deadline

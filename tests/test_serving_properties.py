@@ -30,13 +30,16 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import random_graph
+from repro.core.extents import Extent
+from repro.indexes.base import IndexNode, QueryResult, answer_run
 from repro.indexes.mindex import MkIndex
 from repro.indexes.mstarindex import MStarIndex
 from repro.queries.evaluator import evaluate_on_data_graph
+from repro.queries.pathexpr import as_expression
 from repro.queries.workload import Workload
 from repro.serving import ServingEngine
 
@@ -229,3 +232,62 @@ class TestCacheTokenEpochDiscipline:
                 else:
                     assert stale_token != serving._fingerprint(expr), \
                         "token still matches but the probe missed"
+
+
+class TestAnswerRun:
+    """The run a miss stores is the kernel's answer set, in order."""
+
+    @SETTINGS
+    @given(ops=_ops, graph_seed=st.integers(min_value=0, max_value=40),
+           factory=st.sampled_from([MStarIndex, MkIndex]))
+    def test_equals_the_sorted_answer_set(self, ops, graph_seed, factory):
+        serving, probes = _fresh_serving(factory, graph_seed)
+        for kind, seed in ops:
+            _apply(serving, kind, seed, probes)
+            for expr in probes:
+                result = serving.index.query(expr)
+                run = answer_run(result)
+                event(f"validated={result.validated}")
+                assert run.tolist() == sorted(result.answers), \
+                    f"{expr} after {kind}(seed={seed})"
+
+    def test_both_kinds_of_result_are_reached(self):
+        serving, probes = _fresh_serving(MStarIndex)
+        seen = set()
+        for round_ in range(2):
+            for expr in probes:
+                result = serving.index.query(expr)
+                seen.add(result.validated)
+                assert answer_run(result).tolist() == sorted(result.answers)
+                serving.query(expr)
+            serving.refine_pending()
+        assert seen == {True, False}
+
+    def test_one_target_node_is_shared_not_copied(self, simple_tree):
+        index = MStarIndex(simple_tree)
+        result = index.query(as_expression("//r"))
+        assert not result.validated and len(result.target_nodes) == 1
+        assert answer_run(result) is result.target_nodes[0].extent
+
+    def test_interleaved_target_extents_are_merged(self):
+        nodes = [IndexNode(0, "a", 1, [1, 4, 9]),
+                 IndexNode(1, "a", 1, [2, 3, 12]),
+                 IndexNode(2, "a", 1, [])]
+        result = QueryResult(answers={1, 2, 3, 4, 9, 12}, target_nodes=nodes)
+        assert answer_run(result).tolist() == [1, 2, 3, 4, 9, 12]
+
+    def test_overlapping_target_extents_take_the_fallback(self):
+        """Two target extents sharing a member concatenate to one more
+        than the answer holds; the length guard must send that to the
+        canonicalising path, not emit a duplicate."""
+        nodes = [IndexNode(0, "a", 1, [1, 5, 9]),
+                 IndexNode(1, "a", 1, [5, 7])]
+        result = QueryResult(answers={1, 5, 7, 9}, target_nodes=nodes)
+        assert Extent.from_disjoint_runs(
+            [node.extent for node in nodes], len(result.answers)) is None
+        assert answer_run(result).tolist() == [1, 5, 7, 9]
+
+    def test_targets_that_do_not_carry_the_answer_take_the_fallback(self):
+        # APEX and the DataGuide report no target nodes at all.
+        result = QueryResult(answers={3, 1, 2}, target_nodes=[])
+        assert answer_run(result).tolist() == [1, 2, 3]

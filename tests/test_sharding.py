@@ -1,6 +1,7 @@
 """Tests for the sharded index service (repro.sharding)."""
 
 import random
+import sys
 import threading
 
 import pytest
@@ -282,6 +283,167 @@ class TestTornFanout:
             assert snap.epoch == result.epoch == 1
             assert result.answers == snap.oracle(expr)
         assert engine.stats.snapshot()["conflicts"] == result.conflicts
+
+
+def _served_vs_pinned(engine, expr):
+    """One answer with the oracle of the epoch it was served at."""
+    with engine.pin() as snap:
+        result = engine.query(expr)
+        assert result.epoch == snap.epoch
+        assert result.answers == snap.oracle(expr), str(expr)
+    return result
+
+
+class TestCombinerMemory:
+    """The combiner merges once per distinct tuple of shard answers and
+    remembers exact answers for one epoch; neither may outlive a write
+    that changes the answer."""
+
+    FANOUT = PathExpression.parse("//item/name")
+    CROSSING = PathExpression.parse("//seller/person")
+
+    def test_unchanged_shard_answers_return_the_merged_run_itself(
+            self, xmark_pair):
+        engine = ShardedEngine(xmark_pair[0], num_shards=4)
+        assert not engine._crosses(self.FANOUT)
+        first = engine.query(self.FANOUT)
+        again = engine.query(self.FANOUT)
+        assert not first.cache_hit and again.cache_hit
+        assert again.answers is first.answers
+        # Every shard was still asked, each time, and several hold a part.
+        for shard in engine.shards:
+            assert shard.serving.stats.snapshot()["queries"] == 2
+        parts, merged = engine._merged[self.FANOUT]
+        assert merged is first.answers
+        assert sum(1 for part in parts if part) > 1
+        assert sum(map(len, parts)) == len(merged) == 84
+
+    def test_remembered_exact_answers_are_hits_of_their_epoch(
+            self, xmark_pair):
+        engine = ShardedEngine(xmark_pair[0], num_shards=4)
+        assert engine._crosses(self.CROSSING)
+        first = engine.query(self.CROSSING)
+        again = engine.query(self.CROSSING)
+        assert first.fallback and first.degraded and not first.cache_hit
+        assert again.fallback and again.degraded and again.cache_hit
+        assert again.answers is first.answers
+        assert again.cost.total == 1
+        stats = engine.stats.snapshot()
+        assert stats["fallbacks"] == stats["degraded"] == 2
+        assert stats["cache_hits"] == stats["misses"] == 1
+
+    def test_cache_off_remembers_nothing_on_either_path(self, xmark_pair):
+        engine = ShardedEngine(xmark_pair[0], num_shards=4, cache=False)
+        for expr in (self.FANOUT, self.CROSSING):
+            first = engine.query(expr)
+            again = engine.query(expr)
+            assert not first.cache_hit and not again.cache_hit
+            assert again.cost.total > 1
+            assert again.answers is not first.answers
+            assert again.answers == first.answers
+        assert engine._merged == {} and engine._exact_answers == {}
+
+    def test_updates_that_change_both_answers_are_served_fresh(
+            self, xmark_pair):
+        graph = xmark_pair[0]
+        engine = ShardedEngine(graph, num_shards=4)
+        before = {}
+        for expr in (self.FANOUT, self.CROSSING):
+            _served_vs_pinned(engine, expr)
+            before[expr] = _served_vs_pinned(engine, expr)
+            assert before[expr].cache_hit
+
+        africa = next(oid for oid in range(graph.num_nodes)
+                      if graph.label(oid) == "africa")
+        new_gids = engine.insert_subtree(africa, ("item", [("name", [])]))
+        after_insert = _served_vs_pinned(engine, self.FANOUT)
+        assert after_insert.answers is not before[self.FANOUT].answers
+        assert after_insert.answers == before[self.FANOUT].answers | \
+            {new_gids[1]}
+        # The insert left //seller/person alone, but it is a new epoch.
+        crossing_mid = _served_vs_pinned(engine, self.CROSSING)
+        assert not crossing_mid.cache_hit
+        assert crossing_mid.answers == before[self.CROSSING].answers
+
+        seller = next(oid for oid in range(graph.num_nodes)
+                      if graph.label(oid) == "seller")
+        person = next(oid for oid in range(graph.num_nodes)
+                      if graph.label(oid) == "person"
+                      and oid not in before[self.CROSSING].answers)
+        engine.add_reference(seller, person)
+        after_ref = _served_vs_pinned(engine, self.CROSSING)
+        assert not after_ref.cache_hit
+        assert after_ref.answers is not before[self.CROSSING].answers
+        assert after_ref.answers == before[self.CROSSING].answers | {person}
+        _served_vs_pinned(engine, self.FANOUT)
+        # The pre-update runs were not changed under their holders.
+        assert new_gids[1] not in before[self.FANOUT].answers
+        assert person not in before[self.CROSSING].answers
+
+    def test_a_write_between_two_shard_calls_poisons_nothing(self):
+        """Shard 0 answers, then inserts into shard 0 *and* shard 1
+        commit, then shards 1-3 answer: the tuple (old, new, ...) merges
+        to a run that is right at no epoch.  The attempt is discarded,
+        and the entry it left is replaced, never served."""
+        graph = generate_xmark(scale=0.01, seed=1).freeze()
+        engine = ShardedEngine(graph, num_shards=4)
+        expr = self.FANOUT
+        stale = engine.query(expr)
+        owner = engine.placement.owner
+        items = [next(oid for oid in range(graph.num_nodes)
+                      if graph.label(oid) == "item" and owner[oid] == who)
+                 for who in (0, 1)]
+        second_shard = engine.shards[1].serving
+        shard_query = second_shard.query
+        new_gids: list[int] = []
+        torn: list = []
+
+        def write_then_query(*args, **kwargs):
+            # Shard 0 has answered this fan-out already.
+            if not new_gids:
+                for item in items:
+                    new_gids.extend(engine.insert_subtree(item,
+                                                          ("name", [])))
+            elif not torn:
+                torn.append(engine._merged[expr][1])
+            return shard_query(*args, **kwargs)
+
+        second_shard.query = write_then_query
+        try:
+            result = engine.query(expr)
+        finally:
+            del second_shard.query
+        assert len(new_gids) == 2 and result.conflicts >= 1
+        assert result.epoch == 2
+        assert result.answers == stale.answers | set(new_gids)
+        # What the torn attempt merged holds one insert but not the other.
+        assert len(set(new_gids) & torn[0].to_set()) == 1
+        for _ in range(2):
+            later = _served_vs_pinned(engine, expr)
+            assert later.answers is result.answers
+        assert engine._merged[expr][1] is result.answers
+
+    def test_eviction_under_concurrent_readers_never_raises(
+            self, xmark_pair):
+        graph = xmark_pair[0]
+        engine = ShardedEngine(graph, num_shards=4)
+        engine._cache_size = 4
+        exprs = [expr for expr in sorted(set(workload_for(graph, 60)),
+                                         key=str)
+                 if not engine._crosses(expr)]
+        assert len(exprs) > 3 * engine._cache_size
+        truth = {expr: evaluate_on_data_graph(graph, expr)
+                 for expr in exprs}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = engine.serve(exprs * 6, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 6 * len(exprs)
+        for result in results:
+            assert result.answers == truth[result.expr]
+        assert len(engine._merged) == engine._cache_size
 
 
 class TestFuzzedGraphs:

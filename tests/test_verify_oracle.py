@@ -29,6 +29,7 @@ from repro.verify.oracle import (
     check_cache_equivalence,
     check_engine_sequence,
     check_query,
+    check_shard_equivalence,
     check_static_suite,
     check_stored_equivalence,
     check_structure,
@@ -356,6 +357,52 @@ class TestStoredEquivalence:
         assert found
         assert {d.kind for d in found} <= {"stored", "error"}
         assert {d.family for d in found} == {"stored[spill]"}
+
+
+class TestShardEquivalence:
+    """The shard axis re-asks its window after every update, so a
+    combiner that keeps what it remembered across a write is caught."""
+
+    @staticmethod
+    def _check(profile_name, seed):
+        profile = profile_named(profile_name)
+        graph = random_data_graph(profile, seed).freeze()
+        stream = random_fup_stream(graph, 20, seed)
+        return check_shard_equivalence(graph, stream, num_shards=3,
+                                       profile=profile.name,
+                                       graph_seed=seed)
+
+    def test_clean_on_the_seeds_the_sabotage_tests_use(self):
+        assert self._check("tree", 24) == []
+        assert self._check("skewed", 20) == []
+
+    def test_detects_a_merge_map_kept_across_a_write(self, monkeypatch):
+        from repro.sharding import ShardedEngine
+
+        real = ShardedEngine._merge
+
+        def sticky(self, expr, parts):
+            entry = self._merged.get(expr)
+            return entry[1] if entry is not None else real(self, expr, parts)
+
+        monkeypatch.setattr(ShardedEngine, "_merge", sticky)
+        found = self._check("tree", 24)
+        assert found
+        assert {d.kind for d in found} == {"shard"}
+
+    def test_detects_exact_answers_kept_across_a_write(self, monkeypatch):
+        from repro.serving.engine import SnapshotReader
+
+        real = SnapshotReader._exact
+
+        def sticky(self, expr, attempts, conflicts, fallback=False):
+            self._exact_epoch = self.clock.epoch  # never dropped
+            return real(self, expr, attempts, conflicts, fallback)
+
+        monkeypatch.setattr(SnapshotReader, "_exact", sticky)
+        found = self._check("skewed", 20)
+        assert found
+        assert {d.kind for d in found} == {"shard"}
 
 
 class TestRunner:
