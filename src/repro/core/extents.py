@@ -35,6 +35,7 @@ checked against the set-based path.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
@@ -180,6 +181,14 @@ class Extent:
     def tolist(self) -> list[int]:
         """The members as a plain ascending ``list[int]``."""
         return self._data.tolist()
+
+    def tobytes(self) -> bytes:
+        """The members as little-endian 4-byte words, ascending."""
+        if sys.byteorder == "little":
+            return self._data.tobytes()
+        swapped = array(_TYPECODE, self._data)
+        swapped.byteswap()
+        return swapped.tobytes()
 
     def to_set(self) -> set[int]:
         """The members as a plain ``set[int]`` (the reference shape)."""

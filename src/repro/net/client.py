@@ -107,7 +107,8 @@ class NetClient:
 
     def query(self, expr: str, budget_ms: int | None = None) -> dict:
         """Answer a path expression; see the QUERY response schema in
-        ``docs/network.md`` (``answers`` come back sorted)."""
+        ``docs/network.md``.  ``answers`` arrives as the reply's packed
+        run and comes back as an ascending ``list[int]``."""
         return self._call(_p.Opcode.QUERY, {"expr": str(expr)}, budget_ms)
 
     def insert_subtree(self, parent_oid: int,

@@ -23,10 +23,19 @@ Response header (``>HBBBQ``, 13 bytes)::
 
     magic: u16 | version: u8 | status: u8 | opcode: u8 | request_id: u64
 
+then one ``u32list`` (``u32 count``, ``count × u32``, little-endian —
+the codec of :mod:`repro.storage.serialization`), then the JSON body.
+The list carries the answer run of a ``QUERY`` ``OK`` reply (the
+body's ``"answers"`` on both sides of the codec) and is empty on every
+other reply, so the oids of a reply are never spelled in JSON.
+
 The echoed ``request_id`` lets a client (and the trace spans tagged
 with it) correlate responses under pipelining; ``status`` is a
 :class:`Status` code — notably :attr:`Status.SHED` when admission
 control rejected the request before it reached a worker.
+
+Version 1 spelled the answers in the JSON body and had no list; a v1
+frame is refused (``unsupported version 1``), never read.
 
 All socket reads here are *bounded*: :func:`recv_exact` re-arms
 ``settimeout`` before every ``recv`` so a stalled peer raises
@@ -44,11 +53,13 @@ import time
 from enum import IntEnum
 from typing import TYPE_CHECKING
 
+from repro.storage.serialization import pack_u32list, unpack_u32list
+
 if TYPE_CHECKING:
     import threading
 
 MAGIC = 0x5258  # "RX"
-VERSION = 1
+VERSION = 2
 #: Hard ceiling on one frame's payload; anything larger is a protocol
 #: error (the peer is broken or malicious), not a retry.
 MAX_FRAME = 8 * 1024 * 1024
@@ -200,25 +211,50 @@ def decode_request(payload: bytes) -> tuple[Opcode, int, int | None, dict]:
         opcode = Opcode(opcode)
     except ValueError:
         raise ProtocolError(f"unknown opcode {opcode}") from None
-    try:
-        body = json.loads(payload[_REQUEST.size:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed request body: {exc}") from None
-    if not isinstance(body, dict):
-        raise ProtocolError("request body must be a JSON object")
+    body = _json_object(payload[_REQUEST.size:], "request")
     budget = None if budget_ms == NO_BUDGET else budget_ms
     return opcode, request_id, budget, body
 
 
+def _json_object(data: bytes, what: str) -> dict:
+    try:
+        body = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ProtocolError(f"malformed {what} body: {exc}") from None
+    if not isinstance(body, dict):
+        raise ProtocolError(f"{what} body must be a JSON object")
+    return body
+
+
+def _carries_answers(status: int, opcode: int) -> bool:
+    return status == Status.OK and opcode == Opcode.QUERY
+
+
 def encode_response(status: Status, opcode: int, request_id: int,
                     body: dict) -> bytes:
+    """One response payload: header, answer run, JSON body.
+
+    On a ``QUERY`` ``OK`` reply ``body["answers"]`` (an ``Extent`` or
+    any ascending ints) travels as the ``u32list``; every other key,
+    and every other reply, is JSON behind an empty list.
+    """
+    answers = ()
+    if _carries_answers(status, opcode) and "answers" in body:
+        body = dict(body)
+        answers = body.pop("answers")
     header = _RESPONSE.pack(MAGIC, VERSION, int(status), int(opcode),
                             request_id)
-    return header + json.dumps(body, sort_keys=True).encode("utf-8")
+    return b"".join((header, pack_u32list(answers),
+                     json.dumps(body, sort_keys=True).encode("utf-8")))
 
 
 def decode_response(payload: bytes) -> tuple[Status, int, int, dict]:
-    """``(status, opcode, request_id, body)`` from a response payload."""
+    """``(status, opcode, request_id, body)`` from a response payload.
+
+    A ``QUERY`` ``OK`` reply's run comes back as ``body["answers"]``, an
+    ascending ``list[int]``.  Any payload that is not exactly a header,
+    one ``u32list`` and a JSON object raises :class:`ProtocolError`.
+    """
     if len(payload) < _RESPONSE.size:
         raise ProtocolError(f"response payload of {len(payload)} bytes is "
                             f"shorter than the {_RESPONSE.size}-byte header")
@@ -233,9 +269,15 @@ def decode_response(payload: bytes) -> tuple[Status, int, int, dict]:
     except ValueError:
         raise ProtocolError(f"unknown status {status}") from None
     try:
-        body = json.loads(payload[_RESPONSE.size:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed response body: {exc}") from None
-    if not isinstance(body, dict):
-        raise ProtocolError("response body must be a JSON object")
+        answers, start = unpack_u32list(payload, _RESPONSE.size)
+    except ValueError as exc:
+        raise ProtocolError(f"malformed answer run: {exc}") from None
+    body = _json_object(payload[start:], "response")
+    if _carries_answers(status, opcode):
+        if "answers" in body:
+            raise ProtocolError("QUERY reply spells its answers in JSON")
+        body["answers"] = list(answers)
+    elif answers:
+        raise ProtocolError(f"{status.name} reply to opcode {opcode} "
+                            f"carries a {len(answers)}-member answer run")
     return status, opcode, request_id, body

@@ -20,7 +20,8 @@ Thread anatomy (all daemon threads, owned by :meth:`IndexServer.start`
   the engine's ``_UNSET`` sentinel (server ``default_timeout``
   applies).
 
-A worker failure while executing a request is answered with
+A worker failure while executing a request, and a reply too large for
+one frame, is answered with
 :attr:`~repro.net.protocol.Status.ERROR`; a send failure (peer went
 away mid-response) is counted and the worker moves on — neither wedges
 the worker, and no code path between dequeue and response holds a
@@ -293,18 +294,30 @@ class IndexServer:
                                opcode=_p.Opcode(request.opcode).name) \
                 if tracer.enabled else _trace.NULL_SPAN
             with span:
-                try:
-                    status, body = self._execute(request)
-                except Exception as exc:  # noqa: BLE001 - reported to client
-                    self._count("errors")
-                    status, body = _p.Status.ERROR, {"error": repr(exc)}
+                status, payload = self._respond(request)
                 span.tag(status=status.name)
-            payload = _p.encode_response(status, request.opcode,
-                                         request.request_id, body)
             if request.conn.send(payload, self.io_timeout_s):
                 self._count("responses")
             else:
                 self._count("send_failures")
+
+    def _respond(self, request: _Request) -> tuple[_p.Status, bytes]:
+        """Execute and encode; any failure, an unsendable reply included,
+        becomes an ``ERROR`` reply so the worker keeps serving."""
+        try:
+            status, body = self._execute(request)
+            payload = _p.encode_response(status, request.opcode,
+                                         request.request_id, body)
+        except Exception as exc:  # noqa: BLE001 - reported to client
+            message = repr(exc)
+        else:
+            if len(payload) <= _p.MAX_FRAME:
+                return status, payload
+            message = f"reply of {len(payload)} bytes exceeds MAX_FRAME"
+        self._count("errors")
+        return _p.Status.ERROR, _p.encode_response(
+            _p.Status.ERROR, request.opcode, request.request_id,
+            {"error": message})
 
     def _timeout_for(self, request: _Request) -> Any:
         """Remaining budget at execution time (or the shared sentinel)."""
@@ -321,7 +334,7 @@ class IndexServer:
             result = self.engine.query(body["expr"],
                                        timeout=self._timeout_for(request))
             return _p.Status.OK, {
-                "answers": result.answers.tolist(),
+                "answers": result.answers,
                 "validated": result.validated,
                 "epoch": result.epoch,
                 "degraded": result.degraded,

@@ -36,6 +36,7 @@ from repro.obs import trace as _trace
 from repro.queries.pathexpr import WILDCARD, PathExpression
 from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.storage.segment import Segment, SegmentWriter
+from repro.storage.serialization import pack_u32list, unpack_u32list
 
 SEGMENT_KIND = "mstar-nodes"
 #: Kinds earlier trees wrote; refused at open, never parsed.
@@ -53,28 +54,21 @@ def encode_index_node(label_id: int, k: int, extent: Sequence[int],
                       children: Sequence[int],
                       subnodes: Sequence[int]) -> bytes:
     """Encode one index-node record: ``label_id u32, k u16``, then the
-    extent, child and subnode lists, each ``count u32, count × u32``."""
-    parts = [_NODE_HEAD.pack(label_id, k)]
-    for values in (extent, children, subnodes):
-        parts.append(struct.pack(f"<{len(values) + 1}I", len(values), *values))
-    return b"".join(parts)
+    extent, child and subnode lists, each a ``u32list``."""
+    return b"".join((_NODE_HEAD.pack(label_id, k), pack_u32list(extent),
+                     pack_u32list(children), pack_u32list(subnodes)))
 
 
 def decode_index_node(data: bytes) -> dict:
     """Decode one whole record; raises unless ``data`` is exactly one."""
     label_id, k = _NODE_HEAD.unpack_from(data)
-    words = struct.unpack_from(f"<{(len(data) - _NODE_HEAD.size) // 4}I",
-                               data, _NODE_HEAD.size)
-    fields = []
-    position = 0
-    for _ in range(3):
-        end = position + 1 + words[position]
-        fields.append(words[position + 1:end])
-        position = end
-    if _NODE_HEAD.size + 4 * position != len(data):
+    extent, position = unpack_u32list(data, _NODE_HEAD.size)
+    children, position = unpack_u32list(data, position)
+    subnodes, position = unpack_u32list(data, position)
+    if position != len(data):
         raise ValueError("index-node record length does not match its lists")
-    return {"label_id": label_id, "k": k, "extent": fields[0],
-            "children": fields[1], "subnodes": fields[2]}
+    return {"label_id": label_id, "k": k, "extent": extent,
+            "children": children, "subnodes": subnodes}
 
 
 def write_index_nodes(writer: SegmentWriter, graph: DataGraph,

@@ -4,6 +4,12 @@ A small, dependency-free binary format (struct-packed, little-endian)
 with length-prefixed UTF-8 label tables.  ``save_graph``/``load_graph``
 round-trip :class:`~repro.graph.datagraph.DataGraph`.  Indexes are
 persisted as v2 segments by :mod:`repro.storage.diskindex`.
+
+This module also owns the ``u32list`` primitive — ``u32 count`` then
+``count × u32``, little-endian — as one buffer-level pair,
+:func:`pack_u32list` / :func:`unpack_u32list`.  Three formats spell a
+list with it: the ``.rpgr`` label-id column, the ``mstar-nodes``
+index-node record and the answer run of a wire ``QUERY`` reply.
 """
 
 from __future__ import annotations
@@ -12,12 +18,49 @@ import struct
 from collections.abc import Iterable
 from io import BufferedReader, BufferedWriter
 
+from repro.core.extents import Extent
 from repro.graph.datagraph import DataGraph, EdgeKind
 
 GRAPH_MAGIC = b"RPGR"
 FORMAT_VERSION = 1
 
 _U32 = struct.Struct("<I")
+#: Compiled ``count × u32`` layouts for the short lists index-node
+#: records are made of (building the format per call costs more than
+#: unpacking a few members).
+_RUNS = tuple(struct.Struct(f"<{count}I") for count in range(256))
+
+
+def pack_u32list(values: "Iterable[int] | Extent") -> bytes:
+    """``values`` as one ``u32list``: ``u32 count``, ``count × u32``.
+
+    An :class:`Extent` is copied out of its buffer as it stands (no
+    per-member int); anything else is packed member by member.
+    """
+    if isinstance(values, Extent):
+        return _U32.pack(len(values)) + values.tobytes()
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    return struct.pack(f"<I{len(values)}I", len(values), *values)
+
+
+def unpack_u32list(data: bytes, offset: int = 0
+                   ) -> tuple[tuple[int, ...], int]:
+    """The ``u32list`` at ``offset`` (>= 0) of ``data`` and the offset
+    just past it.
+
+    Raises ``ValueError`` when the count or the members it announces do
+    not fit in ``data``.
+    """
+    try:
+        (count,) = _U32.unpack_from(data, offset)
+        run = _RUNS[count] if count < len(_RUNS) \
+            else struct.Struct(f"<{count}I")
+        start = offset + _U32.size
+        return run.unpack_from(data, start), start + run.size
+    except struct.error:
+        raise ValueError(f"u32list at offset {offset} overruns "
+                         f"{len(data)} bytes") from None
 
 
 def write_u32(out: BufferedWriter, value: int) -> None:
@@ -32,17 +75,17 @@ def read_u32(source: BufferedReader) -> int:
 
 
 def write_u32_list(out: BufferedWriter, values: "Iterable[int]") -> None:
-    values = list(values)
-    write_u32(out, len(values))
-    out.write(struct.pack(f"<{len(values)}I", *values))
+    out.write(pack_u32list(values))
 
 
 def read_u32_list(source: BufferedReader) -> list[int]:
-    count = read_u32(source)
-    data = source.read(4 * count)
-    if len(data) != 4 * count:
-        raise ValueError("truncated file")
-    return list(struct.unpack(f"<{count}I", data))
+    head = source.read(4)
+    count = _U32.unpack(head)[0] if len(head) == 4 else 0
+    try:
+        values, _ = unpack_u32list(head + source.read(4 * count))
+    except ValueError:
+        raise ValueError("truncated file") from None
+    return list(values)
 
 
 def write_string(out: BufferedWriter, text: str) -> None:

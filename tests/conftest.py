@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.datasets import generate_nasa, generate_xmark
 from repro.graph.builder import GraphBuilder
@@ -87,3 +88,20 @@ def random_graph(seed: int, num_nodes: int = 30, num_labels: int = 4,
         if child not in graph.children(parent) and parent != child:
             graph.add_edge(parent, child)
     return graph
+
+
+#: The largest oid an ``Extent`` holds (its members are C ints).
+MAX_OID = 2**31 - 1
+
+
+def ascending_runs(max_size: int = 100_000) -> st.SearchStrategy:
+    """Strictly ascending oid runs in ``[0, MAX_OID]``: short arbitrary
+    ones, and evenly spaced ones of up to ``max_size`` members."""
+    arbitrary = st.lists(st.integers(0, MAX_OID), max_size=64,
+                         unique=True).map(sorted)
+    spaced = st.builds(
+        lambda start, step, size: list(
+            range(start, min(start + step * size, MAX_OID + 1), step)),
+        st.integers(0, MAX_OID), st.integers(1, 1_000),
+        st.integers(0, max_size))
+    return st.one_of(arbitrary, spaced)

@@ -8,14 +8,35 @@ exercised against real socket semantics.
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.extents import Extent
 from repro.net import protocol as _p
+from tests.conftest import MAX_OID, ascending_runs
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "net")
+
+
+def v1_fixture(name: str) -> bytes:
+    with open(os.path.join(FIXTURES, name), "rb") as handle:
+        return handle.read()
+
+
+def query_reply(answers, request_id: int = 7) -> bytes:
+    """A QUERY OK payload shaped like the server's."""
+    return _p.encode_response(_p.Status.OK, _p.Opcode.QUERY, request_id, {
+        "answers": answers, "validated": True, "epoch": 3,
+        "degraded": False, "timed_out": False, "cache_hit": True,
+        "fallback": False, "attempts": 1, "conflicts": 0,
+        "duration_s": 1.5e-05})
 
 
 @pytest.fixture
@@ -115,6 +136,112 @@ class TestResponseCodec:
     def test_truncated_header_rejected(self):
         with pytest.raises(_p.ProtocolError, match="shorter"):
             _p.decode_response(b"\x52\x58")
+
+
+class TestAnswerRun:
+    """A QUERY reply carries its answers as one packed ``u32list``
+    between the header and the JSON body, never as JSON."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ascending_runs())
+    @example([])
+    @example([0])
+    @example([MAX_OID])
+    @example(list(range(100_000)))
+    def test_round_trip(self, answers):
+        payload = query_reply(Extent.from_sorted(answers))
+        assert payload == query_reply(answers)
+        status, opcode, request_id, body = _p.decode_response(payload)
+        assert (status, opcode, request_id) == (_p.Status.OK,
+                                                _p.Opcode.QUERY, 7)
+        assert body["answers"] == answers
+        assert type(body["answers"]) is list
+        assert body["epoch"] == 3 and body["cache_hit"] is True
+
+    def test_layout_is_header_then_run_then_json(self):
+        payload = query_reply([4, 5])
+        assert payload[13:25] == struct.pack("<3I", 2, 4, 5)
+        assert b"answers" not in payload
+        assert payload[25:26] == b"{"
+
+    def test_other_replies_carry_an_empty_run(self):
+        for status, opcode in ((_p.Status.OK, _p.Opcode.PING),
+                               (_p.Status.ERROR, _p.Opcode.QUERY),
+                               (_p.Status.SHED, _p.Opcode.QUERY)):
+            payload = _p.encode_response(status, opcode, 1, {"x": 1})
+            assert payload[13:17] == b"\0\0\0\0"
+            assert _p.decode_response(payload)[3] == {"x": 1}
+
+    def test_every_truncation_raises_protocol_error(self):
+        payload = query_reply(list(range(0, 600, 3)))
+        for cut in range(len(payload)):
+            with pytest.raises(_p.ProtocolError):
+                _p.decode_response(payload[:cut])
+
+    def test_every_overrunning_count_raises_protocol_error(self):
+        answers = list(range(0, 600, 3))
+        payload = query_reply(answers)
+        room = (len(payload) - 17) // 4
+        counts = list(range(room + 1, room + 64)) + [2**31, 2**32 - 1]
+        for count in counts:
+            forged = payload[:13] + struct.pack("<I", count) + payload[17:]
+            with pytest.raises(_p.ProtocolError, match="answer run"):
+                _p.decode_response(forged)
+
+    def test_answers_spelled_in_json_are_refused(self):
+        header = query_reply([])[:17]
+        with pytest.raises(_p.ProtocolError, match="JSON"):
+            _p.decode_response(header + b'{"answers": [1, 2]}')
+
+    def test_a_run_on_a_reply_without_answers_is_refused(self):
+        payload = _p.encode_response(_p.Status.OK, _p.Opcode.PING, 1, {})
+        forged = payload[:13] + struct.pack("<2I", 1, 9) + payload[17:]
+        with pytest.raises(_p.ProtocolError, match="answer run"):
+            _p.decode_response(forged)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(_p.Status)),
+           st.sampled_from(list(_p.Opcode)), st.binary(max_size=96))
+    def test_arbitrary_bytes_after_a_header_decode_or_raise_protocol_error(
+            self, status, opcode, tail):
+        header = _p.encode_response(status, opcode, 5, {})[:13]
+        try:
+            _p.decode_response(header + tail)
+        except _p.ProtocolError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=96))
+    def test_bytes_after_a_valid_run_decode_or_raise_protocol_error(
+            self, tail):
+        header = query_reply([1, 2, 3])[:29]
+        try:
+            _p.decode_response(header + tail)
+        except _p.ProtocolError:
+            pass
+
+    def test_deeply_nested_json_is_a_protocol_error(self):
+        header = query_reply([])[:17]
+        with pytest.raises(_p.ProtocolError, match="malformed"):
+            _p.decode_response(header + b"[" * 100_000)
+
+
+class TestVersionOneRefused:
+    """Fixtures written by the version 1 encoder (see
+    ``tests/fixtures/net/README.md``): there is no v1 decode path."""
+
+    def test_v1_reply_is_refused(self):
+        with pytest.raises(_p.ProtocolError, match="unsupported version 1"):
+            _p.decode_response(v1_fixture("v1_query_reply.bin"))
+
+    def test_v1_request_is_refused(self):
+        with pytest.raises(_p.ProtocolError, match="unsupported version 1"):
+            _p.decode_request(v1_fixture("v1_query_request.bin"))
+
+    def test_fixtures_are_version_1_frames(self):
+        assert v1_fixture("v1_query_request.bin")[:3] == b"RX\x01"
+        reply = v1_fixture("v1_query_reply.bin")
+        assert reply[:3] == b"RX\x01" and b'"answers": [4, 5]' in reply
 
 
 class TestFraming:

@@ -9,10 +9,14 @@ behind a leaked pinned snapshot.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import socket
 import struct
 import threading
 import time
+from array import array
+from collections.abc import Callable
 
 import pytest
 
@@ -49,6 +53,36 @@ def raw_response(sock: socket.socket):
     payload = _p.read_frame(sock, deadline=time.monotonic() + 10.0)
     assert payload is not None, "server closed before responding"
     return _p.decode_response(payload)
+
+
+def v1_fixture(name: str) -> bytes:
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "net", name)
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+@contextlib.contextmanager
+def one_reply_server(reply: "Callable[[int], bytes]"):
+    """A fake server for one request: it answers with the payload
+    ``reply(request_id)`` builds and closes.  Yields its address."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def answer() -> None:
+        sock, _ = listener.accept()
+        with sock:
+            payload = _p.read_frame(sock, deadline=time.monotonic() + 5)
+            _, request_id, _, _ = _p.decode_request(payload)
+            _p.write_frame(sock, reply(request_id))
+
+    thread = threading.Thread(target=answer)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
 
 
 def assert_writers_not_stalled(serving: ServingEngine) -> None:
@@ -149,6 +183,33 @@ class TestRpcSurface:
                 net_client.query("//a/c")
 
 
+class TestQueryReplies:
+    """The packed run a live server sends is the engine's answer."""
+
+    @pytest.fixture(scope="class")
+    def xmark_served(self, small_xmark):
+        serving = ServingEngine(small_xmark)
+        with IndexServer(serving, port=0, workers=2) as server:
+            with NetClient(*server.address) as net_client:
+                yield serving, net_client
+
+    def test_zero_answer_query(self, xmark_served):
+        serving, net_client = xmark_served
+        expr = "//no_such_label"
+        assert serving.query(expr).answers.tolist() == []
+        assert net_client.query(expr)["answers"] == []
+
+    def test_largest_answer_in_the_document(self, xmark_served):
+        serving, net_client = xmark_served
+        candidates = ["//*"] + [f"//{label}"
+                                for label in serving.graph.alphabet()]
+        expr = max(candidates,
+                   key=lambda each: len(serving.query(each).answers))
+        expected = serving.query(expr).answers.tolist()
+        assert len(expected) == serving.graph.num_nodes
+        assert net_client.query(expr)["answers"] == expected
+
+
 class TestMalformedInput:
     def test_garbage_payload_gets_bad_request_then_close(self, served):
         serving, server = served
@@ -199,28 +260,58 @@ class TestMalformedInput:
     def test_client_rejects_desynchronised_response_id(self):
         """A (mis)server echoing the wrong request id is a transport
         error at the client, never a silently misattributed answer."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
+        def reply(request_id: int) -> bytes:
+            return _p.encode_response(_p.Status.OK, _p.Opcode.PING,
+                                      request_id + 41, {"pong": ""})
 
-        def misbehave() -> None:
-            sock, _ = listener.accept()
-            with sock:
-                payload = _p.read_frame(sock, deadline=time.monotonic() + 5)
-                _, request_id, _, _ = _p.decode_request(payload)
-                _p.write_frame(sock, _p.encode_response(
-                    _p.Status.OK, _p.Opcode.PING, request_id + 41,
-                    {"pong": ""}))
-
-        thread = threading.Thread(target=misbehave)
-        thread.start()
-        try:
-            with NetClient(*listener.getsockname()[:2]) as net_client:
+        with one_reply_server(reply) as address:
+            with NetClient(*address) as net_client:
                 with pytest.raises(NetError, match="does not match"):
                     net_client.ping()
+
+    def test_v1_request_gets_bad_request_then_close(self, served):
+        serving, server = served
+        sock = raw_connect(server)
+        try:
+            _p.write_frame(sock, v1_fixture("v1_query_request.bin"))
+            status, _, _, body = raw_response(sock)
+            assert status is _p.Status.BAD_REQUEST
+            assert body["error"] == "unsupported version 1"
+            assert _p.read_frame(
+                sock, deadline=time.monotonic() + 5.0) is None
         finally:
-            thread.join(timeout=5.0)
-            listener.close()
+            sock.close()
+        assert server.counters["requests"] == 0
+        assert_writers_not_stalled(serving)
+
+    def test_client_surfaces_a_v1_reply_as_net_error(self):
+        reply = v1_fixture("v1_query_reply.bin")
+        with one_reply_server(lambda _id: reply) as address:
+            with NetClient(*address) as net_client:
+                with pytest.raises(NetError, match="unsupported version 1"):
+                    net_client.query("//a/c")
+
+    @pytest.mark.parametrize("damage", [
+        "inside header", "after header", "inside run", "after run",
+        "inside body", "count overruns"])
+    def test_client_never_returns_a_shorter_answer_list(self, damage):
+        def reply(request_id: int) -> bytes:
+            payload = _p.encode_response(
+                _p.Status.OK, _p.Opcode.QUERY, request_id,
+                {"answers": list(range(40)), "validated": True})
+            run_end = 13 + 4 + 4 * 40
+            return {"inside header": payload[:8],
+                    "after header": payload[:13],
+                    "inside run": payload[:13 + 4 + 4 * 20],
+                    "after run": payload[:run_end],
+                    "inside body": payload[:-3],
+                    "count overruns": payload[:13] + struct.pack("<I", 400)
+                    + payload[17:]}[damage]
+
+        with one_reply_server(reply) as address:
+            with NetClient(*address) as net_client:
+                with pytest.raises(NetError, match="bad response frame"):
+                    net_client.query("//a/c")
 
 
 class _StubStats:
@@ -319,6 +410,49 @@ class TestAdmissionControl:
             finally:
                 for each in (blocker, filler, shed):
                     each.close()
+
+
+class _HugeAnswerEngine:
+    """Answers ``/huge`` with a run too long for one frame even packed
+    (past ``MAX_FRAME / 4`` oids), anything else with ``[0]``."""
+
+    HUGE = 2_200_000
+
+    def __init__(self) -> None:
+        self.stats = _StubStats()
+        self.epoch = 0
+        self.huge = Extent.from_sorted(array("i", range(self.HUGE)))
+
+    def query(self, expr, timeout=_UNSET):
+        class _Result:
+            answers = self.huge if expr == "/huge" \
+                else Extent.from_sorted([0])
+            validated = True
+            epoch = 0
+            degraded = False
+            timed_out = False
+            cache_hit = False
+            fallback = False
+            attempts = 1
+            conflicts = 0
+            duration_s = 0.0
+
+        return _Result()
+
+
+class TestOversizedReply:
+    def test_reply_past_max_frame_is_an_error_and_the_worker_lives(self):
+        """Regression: the oversized reply's ``FrameTooLarge`` used to
+        escape the worker loop and end the only worker thread, so this
+        query and every later one timed out at the client."""
+        assert 4 * _HugeAnswerEngine.HUGE > _p.MAX_FRAME
+        with IndexServer(_HugeAnswerEngine(), port=0, workers=1) as server:
+            with NetClient(*server.address, io_timeout_s=10.0) as client:
+                with pytest.raises(RemoteError, match="exceeds MAX_FRAME"):
+                    client.query("/huge")
+                assert client.query("/r")["answers"] == [0]
+            assert server.counters["errors"] == 1
+            assert all(thread.is_alive() for thread in server._threads)
 
 
 class TestLifecycle:
