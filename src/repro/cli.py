@@ -163,9 +163,15 @@ def cmd_ooc(args: argparse.Namespace) -> int:
     from repro.queries.evaluator import evaluate_on_data_graph
     from repro.storage.spill import (
         build_hierarchy_segment,
+        check_budget,
         inram_hierarchy_digest,
     )
 
+    try:
+        check_budget(args.budget)
+    except ValueError as error:
+        print(f"ooc: error: {error}", file=sys.stderr)
+        return 2
     generator = generate_xmark if args.dataset == "xmark" else generate_nasa
     graph = generator(scale=args.scale, seed=args.seed)
     print(f"ooc: {args.dataset} scale {args.scale}: {graph.num_nodes} "

@@ -15,7 +15,7 @@ them against the data graph otherwise (counting data-node visits).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -283,6 +283,15 @@ class IndexGraph:
     def nodes_with_label(self, label: str) -> set[int]:
         return self._by_label.get(label, set())
 
+    def child_rows(self) -> Mapping[int, set[int]]:
+        """Every node's :meth:`children_of` set by node id, for gathering
+        many rows at once; read-only."""
+        return self._children
+
+    def parent_rows(self) -> Mapping[int, set[int]]:
+        """Every node's :meth:`parents_of` set by node id; read-only."""
+        return self._parents
+
     def node_containing(self, oid: int) -> IndexNode:
         """The index node whose extent contains data node ``oid``."""
         return self.nodes[self.node_of[oid]]
@@ -544,6 +553,7 @@ class IndexGraph:
                 # Each child examined costs one index visit; the charge
                 # is batched per row (identical totals, fewer attribute
                 # stores in the hottest navigation loop).
+                # Stays a loop: REFINE phase 0 takes its order as pending.
                 next_frontier: set[int] = set()
                 children = self._children
                 nodes = self.nodes

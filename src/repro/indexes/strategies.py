@@ -32,6 +32,7 @@ from repro.queries.evaluator import (
 from repro.queries.pathexpr import WILDCARD, PathExpression
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.indexes.base import IndexGraph
     from repro.indexes.mstarindex import MStarIndex
 
 
@@ -68,6 +69,42 @@ def _start_frontier(index: "MStarIndex", expr: PathExpression,
         frontier = set(comp0.nodes_with_label(first))
     cost.index_visits += len(frontier)
     return frontier, range(1, len(expr.labels))
+
+
+#: Probe when a forward step examines 4x more children than the label has
+#: nodes: one probe's parent-row test costs a few unioned children.
+_PROBE_RATIO = 4
+
+
+def _step(comp: "IndexGraph", frontier: set[int], label: str,
+          cost: CostCounter) -> set[int]:
+    """The children of ``frontier`` in ``comp`` labelled ``label``.
+
+    Charges one index visit per child examined, i.e. the frontier's row
+    lengths, whichever side the set is computed from: forward, as the
+    union of the rows intersected with the label's nodes, or, when the
+    label's nodes are few, by keeping those with a parent in the frontier.
+    """
+    rows = list(map(comp.child_rows().__getitem__, frontier))
+    examined = sum(map(len, rows))
+    cost.index_visits += examined
+    if label == WILDCARD:
+        return set().union(*rows)
+    candidates = comp.nodes_with_label(label)
+    if len(candidates) * _PROBE_RATIO < examined:
+        parents = comp.parent_rows()
+        return {child for child in candidates
+                if not frontier.isdisjoint(parents[child])}
+    return set().union(*rows) & candidates
+
+
+def _descend_one(index: "MStarIndex", component: int, frontier: set[int],
+                 cost: CostCounter) -> set[int]:
+    """Follow cross-component links one component down, charging one
+    index visit per subnode."""
+    rows = list(map(index.subnodes[component].__getitem__, frontier))
+    cost.index_visits += sum(map(len, rows))
+    return set().union(*rows)
 
 
 def query_naive(index: "MStarIndex", expr: PathExpression,
@@ -121,34 +158,10 @@ def topdown_frontier(index: "MStarIndex", expr: PathExpression,
     for position in positions:
         target_component = min(position + edge_offset, last)
         while current < target_component and frontier:
-            descended: set[int] = set()
-            for nid in frontier:
-                subs = index.subnodes[current][nid]
-                cost.index_visits += len(subs)
-                descended |= subs
-            frontier = descended
+            frontier = _descend_one(index, current, frontier, cost)
             current += 1
         comp = index.components[current]
-        label = expr.labels[position]
-        # One index visit per child examined, charged in bulk per row
-        # (identical totals; this loop dominates refinement's re-walks).
-        stepped: set[int] = set()
-        nodes = comp.nodes
-        examined = 0
-        if label == WILDCARD:
-            for nid in frontier:
-                row = comp.children_of(nid)
-                examined += len(row)
-                stepped |= row
-        else:
-            for nid in frontier:
-                row = comp.children_of(nid)
-                examined += len(row)
-                for child in row:
-                    if nodes[child].label == label:
-                        stepped.add(child)
-        cost.index_visits += examined
-        frontier = stepped
+        frontier = _step(comp, frontier, expr.labels[position], cost)
         if not frontier:
             break
         if eager_validation and position < len(expr.labels) - 1:
@@ -238,17 +251,6 @@ def _filter_by_outgoing(index: "MStarIndex", component: int,
     return surviving
 
 
-def _descend_one(index: "MStarIndex", component: int, frontier: set[int],
-                 cost: CostCounter) -> set[int]:
-    """Follow cross-component links one component down, charging visits."""
-    descended: set[int] = set()
-    for nid in frontier:
-        subs = index.subnodes[component][nid]
-        cost.index_visits += len(subs)
-        descended |= subs
-    return descended
-
-
 def query_bottomup(index: "MStarIndex", expr: PathExpression,
                    counter: CostCounter | None = None) -> QueryResult:
     """Bottom-up evaluation (Section 4.1, "Other approaches").
@@ -299,14 +301,7 @@ def query_bottomup(index: "MStarIndex", expr: PathExpression,
     comp = index.components[current]
     frontier = heads
     for position in range(1, len(expr.labels)):
-        label = expr.labels[position]
-        stepped: set[int] = set()
-        for nid in frontier:
-            for child in comp.children_of(nid):
-                cost.index_visits += 1
-                if label == WILDCARD or comp.nodes[child].label == label:
-                    stepped.add(child)
-        frontier = stepped
+        frontier = _step(comp, frontier, expr.labels[position], cost)
         if not frontier:
             break
     return _finish(index, expr, current, frontier, cost)
@@ -360,14 +355,7 @@ def query_hybrid(index: "MStarIndex", expr: PathExpression,
     survivors = prefix_frontier & heads
     frontier = survivors
     for position in range(split + 1, len(expr.labels)):
-        label = expr.labels[position]
-        stepped: set[int] = set()
-        for nid in frontier:
-            for child in comp.children_of(nid):
-                cost.index_visits += 1
-                if label == WILDCARD or comp.nodes[child].label == label:
-                    stepped.add(child)
-        frontier = stepped
+        frontier = _step(comp, frontier, expr.labels[position], cost)
         if not frontier:
             break
     return _finish(index, expr, target_component, frontier, cost)
@@ -404,12 +392,7 @@ def query_prefilter(index: "MStarIndex", expr: PathExpression,
     # Descend the candidates to the component the full query runs in.
     current = sub_component
     while current < target_component and candidates:
-        descended: set[int] = set()
-        for nid in candidates:
-            subs = index.subnodes[current][nid]
-            cost.index_visits += len(subs)
-            descended |= subs
-        candidates = descended
+        candidates = _descend_one(index, current, candidates, cost)
         current += 1
     comp = index.components[target_component]
 
@@ -430,20 +413,13 @@ def query_prefilter(index: "MStarIndex", expr: PathExpression,
             return _finish(index, expr, target_component, set(), cost)
 
     # Forward phase: walk back down inside the cone, then finish the
-    # suffix beyond the subpath normally.
+    # suffix beyond the subpath normally.  A step charges every child
+    # examined, inside the cone or not.
     frontier = levels[0]
     for position in range(1, len(expr.labels)):
-        stepped: set[int] = set()
-        label = expr.labels[position]
-        cone = levels[position] if position <= end else None
-        for nid in frontier:
-            for child in comp.children_of(nid):
-                cost.index_visits += 1
-                if cone is not None and child not in cone:
-                    continue
-                if label == WILDCARD or comp.nodes[child].label == label:
-                    stepped.add(child)
-        frontier = stepped
+        frontier = _step(comp, frontier, expr.labels[position], cost)
+        if position <= end:
+            frontier &= levels[position]
         if not frontier:
             break
     return _finish(index, expr, target_component, frontier, cost)

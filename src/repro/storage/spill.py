@@ -49,6 +49,15 @@ _PAIR = struct.Struct("<II")
 #: shrinks so that all open runs together stay under ~half the budget.
 MAX_CHUNK_PAIRS = 2048
 MIN_CHUNK_PAIRS = 16
+#: Smallest budget a sort may run under.
+MIN_BUDGET_BYTES = 4096
+
+
+def check_budget(budget_bytes: int) -> None:
+    """Raise ``ValueError`` unless a sort may run under ``budget_bytes``."""
+    if budget_bytes < MIN_BUDGET_BYTES:
+        raise ValueError(f"budget must be >= {MIN_BUDGET_BYTES} bytes, "
+                         f"got {budget_bytes}")
 
 
 class SpillSorter:
@@ -63,9 +72,7 @@ class SpillSorter:
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES,
                  tmpdir: str | None = None) -> None:
-        if budget_bytes < 4096:
-            raise ValueError(
-                f"budget_bytes must be >= 4096, got {budget_bytes}")
+        check_budget(budget_bytes)
         self.budget_bytes = budget_bytes
         self._buffer: list[tuple[int, int]] = []
         self._buffer_capacity = max(64, self.budget_bytes // _PAIR.size)
@@ -266,7 +273,10 @@ def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
     read off its extent as it leaves the merge, so no skeleton is held
     either.  ``report.digest`` is over the ``(key, oids)`` groups, which
     :func:`inram_hierarchy_digest` reproduces from the in-RAM levels.
+    A budget the sorter would refuse raises ``ValueError`` before
+    ``path`` is opened, so an existing file there is left as it was.
     """
+    check_budget(budget_bytes)
     started = time.perf_counter()
     # Per level, each data node's block renumbered densely in ascending
     # block order: its node id in that component.

@@ -143,6 +143,17 @@ class TestOoc:
         assert "check OK" in capsys.readouterr().out
         assert [entry.name for entry in out_dir.iterdir()] == ["a.seg"]
 
+    def test_budget_below_the_floor_leaves_the_output_alone(
+            self, tmp_path, capsys):
+        kept = tmp_path / "keep.seg"
+        kept.write_bytes(b"an index someone wants to keep")
+        assert main(["ooc", "--scale", "0.005", "--k", "3",
+                     "--budget", "100", "-o", str(kept)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "ooc: error: budget must be >= 4096 bytes, got 100\n"
+        assert kept.read_bytes() == b"an index someone wants to keep"
+
 
 class TestRemovedCommands:
     def test_bench_is_rejected_and_unlisted(self, capsys):

@@ -100,6 +100,17 @@ class TestSpillBuilders:
         assert report.records == sum(len(component.nodes)
                                      for component in memory.components)
 
+    def test_refused_budget_leaves_an_existing_file_byte_identical(
+            self, small_xmark, tmp_path):
+        path = tmp_path / "keep.seg"
+        build_hierarchy_segment(small_xmark, 2, str(path), budget_bytes=4096,
+                                page_size=512)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=">= 4096"):
+            build_hierarchy_segment(small_xmark, 2, str(path),
+                                    budget_bytes=512, page_size=512)
+        assert path.read_bytes() == before
+
     def test_segment_queries_match_inram_index(self, small_xmark, tmp_path):
         path = str(tmp_path / "mstar.seg")
         build_hierarchy_segment(small_xmark, 3, path, budget_bytes=4096,

@@ -1,12 +1,25 @@
 """Tests for the M*(k) query strategies (repro.indexes.strategies)."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cost.counters import CostCounter
+from repro.graph.builder import graph_from_edges
+from repro.indexes import strategies
+from repro.indexes.base import IndexGraph
 from repro.indexes.mstarindex import MStarIndex
 from repro.indexes.strategies import choose_subpath, query_prefilter
-from repro.queries.evaluator import evaluate_on_data_graph
-from repro.queries.pathexpr import PathExpression
+from repro.queries.evaluator import (
+    evaluate_on_data_graph,
+    required_similarity,
+    validate_candidate,
+)
+from repro.queries.pathexpr import WILDCARD, PathExpression
 from repro.queries.workload import Workload
+from repro.verify.fuzz import profile_named, random_data_graph
 
 STRATEGIES = ("naive", "topdown", "prefilter", "bottomup", "hybrid")
 
@@ -270,3 +283,351 @@ class TestCostAccounting:
         first = counter.index_visits
         index.query(PathExpression.parse("//auction"), counter=counter)
         assert counter.index_visits > first
+
+
+# ----------------------------------------------------------------------
+# Reference: the per-child loops the set-algebra step and descent
+# replaced, kept verbatim.  Everything they call is unchanged code.
+# ----------------------------------------------------------------------
+def _reference_topdown_frontier(index, expr, cost, eager_validation=False):
+    frontier, positions = strategies._start_frontier(index, expr, cost)
+    last = index.max_resolution
+    current = 0
+    edge_offset = 1 if expr.rooted else 0
+    for position in positions:
+        target_component = min(position + edge_offset, last)
+        while current < target_component and frontier:
+            descended: set[int] = set()
+            for nid in frontier:
+                subs = index.subnodes[current][nid]
+                cost.index_visits += len(subs)
+                descended |= subs
+            frontier = descended
+            current += 1
+        comp = index.components[current]
+        label = expr.labels[position]
+        stepped: set[int] = set()
+        nodes = comp.nodes
+        examined = 0
+        if label == WILDCARD:
+            for nid in frontier:
+                row = comp.children_of(nid)
+                examined += len(row)
+                stepped |= row
+        else:
+            for nid in frontier:
+                row = comp.children_of(nid)
+                examined += len(row)
+                for child in row:
+                    if nodes[child].label == label:
+                        stepped.add(child)
+        cost.index_visits += examined
+        frontier = stepped
+        if not frontier:
+            break
+        if eager_validation and position < len(expr.labels) - 1:
+            prefix = expr.prefix(position + 1)
+            prefix_required = required_similarity(index.graph, prefix)
+            pruned: set[int] = set()
+            for nid in frontier:
+                node = comp.nodes[nid]
+                if node.k >= prefix_required:
+                    pruned.add(nid)
+                    continue
+                if any(validate_candidate(index.graph, prefix, oid, cost)
+                       for oid in node.extent):
+                    pruned.add(nid)
+            frontier = pruned
+            if not frontier:
+                break
+    return current, frontier
+
+
+def _reference_descend_one(index, component, frontier, cost):
+    descended: set[int] = set()
+    for nid in frontier:
+        subs = index.subnodes[component][nid]
+        cost.index_visits += len(subs)
+        descended |= subs
+    return descended
+
+
+def _reference_forward(comp, frontier, labels, first, cost):
+    for position in range(first, len(labels)):
+        label = labels[position]
+        stepped: set[int] = set()
+        for nid in frontier:
+            for child in comp.children_of(nid):
+                cost.index_visits += 1
+                if label == WILDCARD or comp.nodes[child].label == label:
+                    stepped.add(child)
+        frontier = stepped
+        if not frontier:
+            break
+    return frontier
+
+
+def _reference_topdown(index, expr, eager_validation=False):
+    cost = CostCounter()
+    component, frontier = _reference_topdown_frontier(
+        index, expr, cost, eager_validation)
+    return strategies._finish(index, expr, component, frontier, cost)
+
+
+def _reference_bottomup(index, expr):
+    cost = CostCounter()
+    if expr.rooted:
+        return _reference_topdown(index, expr)
+    required = expr.length
+    target_component = min(required, index.max_resolution)
+    last_label = expr.labels[-1]
+    comp0 = index.components[0]
+    if last_label == WILDCARD:
+        heads = set(comp0.nodes)
+    else:
+        heads = set(comp0.nodes_with_label(last_label))
+    cost.index_visits += len(heads)
+    current = 0
+    for suffix_edges in range(1, required + 1):
+        needed = min(suffix_edges, target_component)
+        while current < needed and heads:
+            heads = _reference_descend_one(index, current, heads, cost)
+            current += 1
+        comp = index.components[current]
+        label = expr.labels[required - suffix_edges]
+        climbed: set[int] = set()
+        for nid in heads:
+            for parent in comp.parents_of(nid):
+                cost.index_visits += 1
+                if label == WILDCARD or comp.nodes[parent].label == label:
+                    climbed.add(parent)
+        heads = strategies._filter_by_outgoing(
+            index, current, climbed, expr.labels[required - suffix_edges:],
+            cost)
+        if not heads:
+            return strategies._finish(index, expr, target_component, set(),
+                                      cost)
+    comp = index.components[current]
+    frontier = _reference_forward(comp, heads, expr.labels, 1, cost)
+    return strategies._finish(index, expr, current, frontier, cost)
+
+
+def _reference_hybrid(index, expr):
+    cost = CostCounter()
+    if expr.rooted or len(expr.labels) < 3:
+        return _reference_topdown(index, expr)
+    graph = index.graph
+    weights = [graph.num_nodes if label == WILDCARD
+               else len(graph.nodes_with_label(label))
+               for label in expr.labels]
+    split = min(range(1, len(expr.labels) - 1),
+                key=lambda position: weights[position])
+    target_component = min(expr.length, index.max_resolution)
+    component, prefix_frontier = _reference_topdown_frontier(
+        index, expr.prefix(split + 1), cost)
+    while component < target_component and prefix_frontier:
+        prefix_frontier = _reference_descend_one(index, component,
+                                                 prefix_frontier, cost)
+        component += 1
+    comp = index.components[target_component]
+    join_label = expr.labels[split]
+    if join_label == WILDCARD:
+        candidates = set(comp.nodes)
+    else:
+        candidates = set(comp.nodes_with_label(join_label))
+    cost.index_visits += len(candidates)
+    heads = strategies._filter_by_outgoing(index, target_component,
+                                           candidates, expr.labels[split:],
+                                           cost)
+    frontier = _reference_forward(comp, prefix_frontier & heads,
+                                  expr.labels, split + 1, cost)
+    return strategies._finish(index, expr, target_component, frontier, cost)
+
+
+def _reference_prefilter(index, expr):
+    cost = CostCounter()
+    required = expr.length + (1 if expr.rooted else 0)
+    target_component = min(required, index.max_resolution)
+    if expr.rooted or len(expr.labels) == 1:
+        return _reference_topdown(index, expr)
+    start, window = choose_subpath(index, expr)
+    sub_expr = expr.subpath(start, window)
+    sub_component = min(sub_expr.length, index.max_resolution)
+    candidates = {node.nid for node in
+                  index.components[sub_component].evaluate(sub_expr, cost)}
+    current = sub_component
+    while current < target_component and candidates:
+        candidates = _reference_descend_one(index, current, candidates, cost)
+        current += 1
+    comp = index.components[target_component]
+    end = start + window - 1
+    levels: list[set[int]] = [set() for _ in range(end)] + [set(candidates)]
+    for position in range(end - 1, -1, -1):
+        above: set[int] = set()
+        label = expr.labels[position]
+        for nid in levels[position + 1]:
+            for parent in comp.parents_of(nid):
+                cost.index_visits += 1
+                if label == WILDCARD or comp.nodes[parent].label == label:
+                    above.add(parent)
+        levels[position] = above
+        if not above:
+            return strategies._finish(index, expr, target_component, set(),
+                                      cost)
+    frontier = levels[0]
+    for position in range(1, len(expr.labels)):
+        stepped: set[int] = set()
+        label = expr.labels[position]
+        cone = levels[position] if position <= end else None
+        for nid in frontier:
+            for child in comp.children_of(nid):
+                cost.index_visits += 1
+                if cone is not None and child not in cone:
+                    continue
+                if label == WILDCARD or comp.nodes[child].label == label:
+                    stepped.add(child)
+        frontier = stepped
+        if not frontier:
+            break
+    return strategies._finish(index, expr, target_component, frontier, cost)
+
+
+REFERENCES = {
+    "topdown": _reference_topdown,
+    "eager": lambda index, expr: _reference_topdown(index, expr, True),
+    "bottomup": _reference_bottomup,
+    "hybrid": _reference_hybrid,
+    "prefilter": _reference_prefilter,
+}
+UNDER_TEST = {
+    "topdown": strategies.query_topdown,
+    "eager": lambda index, expr: strategies.query_topdown(
+        index, expr, eager_validation=True),
+    "bottomup": strategies.query_bottomup,
+    "hybrid": strategies.query_hybrid,
+    "prefilter": strategies.query_prefilter,
+}
+#: Always probe, the shipped choice, never probe.
+PROBE_RATIOS = (0, strategies._PROBE_RATIO, 10 ** 9)
+
+
+def assert_matches_reference(index, expr) -> None:
+    for name, reference in REFERENCES.items():
+        got = UNDER_TEST[name](index, expr)
+        want = reference(index, expr)
+        assert [node.nid for node in got.target_nodes] == \
+            [node.nid for node in want.target_nodes], (name, str(expr))
+        assert got.cost.index_visits == want.cost.index_visits, \
+            (name, str(expr))
+        assert got.cost.data_visits == want.cost.data_visits, \
+            (name, str(expr))
+        assert got.answers == want.answers, (name, str(expr))
+
+
+def _variants(expr: PathExpression, position: int) -> list[PathExpression]:
+    """``expr``, rooted, and with one label made a wildcard."""
+    labels = list(expr.labels)
+    labels[position % len(labels)] = WILDCARD
+    return [expr, PathExpression(expr.labels, rooted=True),
+            PathExpression(tuple(labels))]
+
+
+@pytest.fixture
+def probed(monkeypatch) -> list[IndexGraph]:
+    """The components a step probed from the label side, one per probe."""
+    calls: list[IndexGraph] = []
+    parent_rows = IndexGraph.parent_rows
+
+    def spy(self):
+        calls.append(self)
+        return parent_rows(self)
+
+    monkeypatch.setattr(IndexGraph, "parent_rows", spy)
+    return calls
+
+
+class TestSetAlgebraMatchesPerChildLoops:
+    """The step and descent compute the same frontiers and charge the
+    same visits as the per-child loops they replaced, in either
+    direction and whichever direction the ratio picks."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(["tree", "dag", "cyclic", "skewed"]),
+           st.integers(0, 10_000), st.integers(0, 99),
+           st.sampled_from(PROBE_RATIOS), st.randoms())
+    def test_random_documents_and_refinement_sequences(
+            self, profile, graph_seed, seed, ratio, rng):
+        graph = random_data_graph(profile_named(profile), graph_seed)
+        queries = list(Workload.generate(graph, num_queries=10,
+                                         max_length=5, seed=seed))
+        fups = rng.sample(queries, rng.randint(0, len(queries)))
+        index = MStarIndex(graph)
+        with mock.patch.object(strategies, "_PROBE_RATIO", ratio):
+            for fup in [None] + fups:
+                if fup is not None:
+                    index.refine(fup, index.query(fup))
+                for number, expr in enumerate(queries):
+                    for variant in _variants(expr, number):
+                        assert_matches_reference(index, variant)
+
+    def test_refined_document_takes_both_directions(self, small_xmark,
+                                                    probed, monkeypatch):
+        workload = Workload.generate(small_xmark, num_queries=40,
+                                     max_length=9, seed=23)
+        index = refined_index(small_xmark, workload)
+        steps = 0
+        step = strategies._step
+
+        def count(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
+
+        monkeypatch.setattr(strategies, "_step", count)
+        for expr in workload:
+            assert_matches_reference(index, expr)
+        assert 0 < len(probed) < steps
+
+
+def _fan_graph():
+    """``r`` with six children of distinct labels; ``x`` has one child."""
+    return graph_from_edges(["r", "a", "b", "c", "d", "e", "x", "y"],
+                            [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
+                             (6, 7)])
+
+
+class TestStepDirections:
+    def test_few_label_nodes_probe_from_the_label(self, probed):
+        # One x node against six examined children: 1 * 4 < 6.
+        index = MStarIndex(_fan_graph())
+        expr = PathExpression.parse("//r/x")
+        result = strategies.query_topdown(index, expr)
+        assert probed
+        assert result.answers == {6}
+        assert result.cost.index_visits == 1 + 6
+        assert_matches_reference(index, expr)
+
+    def test_many_label_nodes_step_forward(self, probed):
+        # One y node against one examined child: 1 * 4 >= 1.
+        index = MStarIndex(_fan_graph())
+        expr = PathExpression.parse("//x/y")
+        result = strategies.query_topdown(index, expr)
+        assert not probed
+        assert result.answers == {7}
+        assert result.cost.index_visits == 1 + 1
+        assert_matches_reference(index, expr)
+
+    def test_label_absent_from_the_component(self, probed):
+        """No node carries the label: nothing is stepped to, but every
+        child examined is still charged."""
+        index = MStarIndex(_fan_graph())
+        index.extend_components(2)
+        expr = PathExpression.parse("//r/zzz")
+        result = strategies.query_topdown(index, expr)
+        assert probed
+        assert result.answers == set()
+        assert result.target_nodes == []
+        assert result.cost.index_visits == 1 + 1 + 6
+        assert_matches_reference(index, PathExpression.parse("//r/zzz/y"))
+        assert_matches_reference(index, expr)
